@@ -6,24 +6,16 @@
 // The sweep runs that experiment for every cluster size 2..16 and averages
 // across nodes and switches.
 //
-// Measurement source: the sweep runs with tracing enabled and reads the
-// per-stage costs from the "gang" track spans the noded emits (gc_obs)
-// rather than from daemon-private state.  The masterd's SwitchRecords are
-// kept only as the completion signal: a span is recorded at stage end on the
-// node, while the matching record reaches the master a control-network hop
-// later, so spans are consumed per node in lock-step with that node's
-// records — the sample set (and therefore every reported number) is exactly
-// the set of reported switches.
+// Measurement source: the masterd's SwitchRecords.  Each carries the
+// reporting node's SwitchReport — the three stage durations and the queue
+// occupancy the buffer switch found — so the sample set (and therefore
+// every reported number) is exactly the set of reported switches.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <vector>
 
 #include "bench/common.hpp"
-#include "obs/trace.hpp"
 #include "util/stats.hpp"
 
 namespace gangcomm::bench {
@@ -44,7 +36,6 @@ inline SweepPoint runSwitchSweep(int nodes, glue::BufferPolicy policy,
   cfg.nodes = nodes;
   cfg.policy = policy;
   cfg.max_contexts = 2;
-  cfg.trace = true;  // the gang-stage spans are the measurement source
   // Quantum just long enough to reach traffic steady state between
   // switches; stage costs do not depend on it.
   cfg.quantum = fullScale() ? sim::kSecond : 40 * sim::kMillisecond;
@@ -63,39 +54,17 @@ inline SweepPoint runSwitchSweep(int nodes, glue::BufferPolicy policy,
     if (cluster.sim().now() > horizon * 4) break;  // safety valve
   }
 
-  // Group each stage's spans by node (record order per node is switch
-  // order), then walk the records and consume one span set per record.
-  const auto byNode = [&](const char* name) {
-    std::vector<std::vector<const obs::TraceEvent*>> v(
-        static_cast<std::size_t>(nodes));
-    for (const obs::TraceEvent* ev : cluster.trace().select("gang", name))
-      v[static_cast<std::size_t>(ev->node)].push_back(ev);
-    return v;
-  };
-  const auto halt = byNode("halt");
-  const auto copy = byNode("buffer_switch");
-  const auto release = byNode("release");
   perf().addEvents(cluster.sim().firedEvents());
 
   SweepPoint pt;
   pt.nodes = nodes;
-  std::vector<std::size_t> cursor(static_cast<std::size_t>(nodes), 0);
   for (const auto& rec : cluster.switchRecords()) {
-    const auto n = static_cast<std::size_t>(rec.node);
-    const std::size_t i = cursor[n]++;
-    if (i >= halt[n].size() || i >= copy[n].size() || i >= release[n].size()) {
-      std::fprintf(stderr, "switch sweep: record without matching spans\n");
-      std::abort();
-    }
-    pt.halt_cycles.add(static_cast<double>(sim::nsToCycles(halt[n][i]->dur)));
-    pt.switch_cycles.add(
-        static_cast<double>(sim::nsToCycles(copy[n][i]->dur)));
-    pt.release_cycles.add(
-        static_cast<double>(sim::nsToCycles(release[n][i]->dur)));
-    pt.valid_send_pkts.add(
-        static_cast<double>(copy[n][i]->arg("send_pkts")));
-    pt.valid_recv_pkts.add(
-        static_cast<double>(copy[n][i]->arg("recv_pkts")));
+    const parpar::SwitchReport& r = rec.report;
+    pt.halt_cycles.add(static_cast<double>(sim::nsToCycles(r.halt_ns)));
+    pt.switch_cycles.add(static_cast<double>(sim::nsToCycles(r.switch_ns)));
+    pt.release_cycles.add(static_cast<double>(sim::nsToCycles(r.release_ns)));
+    pt.valid_send_pkts.add(static_cast<double>(r.valid_send_pkts));
+    pt.valid_recv_pkts.add(static_cast<double>(r.valid_recv_pkts));
   }
   return pt;
 }

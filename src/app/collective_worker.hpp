@@ -14,7 +14,6 @@
 
 namespace gangcomm::app {
 
-// gclint: domain(node)
 class CollectiveWorker final : public Process {
  public:
   CollectiveWorker(Env env, std::uint64_t iterations,

@@ -23,7 +23,6 @@ inline constexpr std::uint16_t kStencilHandler = 8;
 inline constexpr std::uint16_t kBcastHandler = 9;
 inline constexpr std::uint16_t kPermHandler = 10;
 
-// gclint: domain(node)
 class StencilWorker final : public Process {
  public:
   StencilWorker(Env env, std::uint32_t halo_bytes, std::uint64_t iterations);
@@ -46,7 +45,6 @@ class StencilWorker final : public Process {
   std::uint64_t received_target_ = 0;
 };
 
-// gclint: domain(node)
 class BroadcastWorker final : public Process {
  public:
   BroadcastWorker(Env env, std::uint32_t msg_bytes, std::uint64_t rounds);
@@ -71,7 +69,6 @@ class BroadcastWorker final : public Process {
   bool bad_value_ = false;
 };
 
-// gclint: domain(node)
 class PermutationWorker final : public Process {
  public:
   PermutationWorker(Env env, std::uint32_t msg_bytes, std::uint64_t rounds,

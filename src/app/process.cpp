@@ -43,7 +43,6 @@ void Process::scheduleStep() {
   sim::LpScope lp(sim(), sim::lpTag(sim::LpDomain::kNode,
                                     static_cast<std::uint32_t>(
                                         env_.fm->node())));
-  // gclint: crossing(process step is an event on this node LP's queue)
   sim().scheduleAt(at, [this] { runStep(); });
 }
 

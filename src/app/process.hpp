@@ -22,7 +22,6 @@
 
 namespace gangcomm::app {
 
-// gclint: domain(node)
 class Process : public parpar::ProcessHandle {
  public:
   struct Env {

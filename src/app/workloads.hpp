@@ -23,7 +23,6 @@ inline constexpr std::uint16_t kFinishHandler = 2;
 inline constexpr std::uint16_t kPingHandler = 3;
 inline constexpr std::uint16_t kPongHandler = 4;
 
-// gclint: domain(node)
 class BandwidthSender final : public Process {
  public:
   BandwidthSender(Env env, int peer_rank, std::uint32_t msg_bytes,
@@ -47,7 +46,6 @@ class BandwidthSender final : public Process {
   bool deadlock_ = false;
 };
 
-// gclint: domain(node)
 class BandwidthReceiver final : public Process {
  public:
   BandwidthReceiver(Env env, int peer_rank, std::uint64_t msg_count);
@@ -65,7 +63,6 @@ class BandwidthReceiver final : public Process {
   bool finish_pending_ = false;
 };
 
-// gclint: domain(node)
 class AllToAllWorker final : public Process {
  public:
   /// Every process sends `msg_bytes` to every peer, `rounds` times
@@ -90,7 +87,6 @@ class AllToAllWorker final : public Process {
   std::uint64_t received_ = 0;
 };
 
-// gclint: domain(node)
 class PingPongWorker final : public Process {
  public:
   PingPongWorker(Env env, std::uint32_t msg_bytes, std::uint64_t reps);

@@ -45,7 +45,7 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg), mem_(cfg.mem) {
     sim_.setCausalitySink(causality_.get());
     // Batched delivery hands data packets to the NIC synchronously (zero
     // events), which would hide the link->nic edges of the DAG; profile the
-    // unbatched event shape a PDES execution would actually replay.
+    // unbatched event shape.
     cfg_.fabric.batch_delivery = false;
   }
 

@@ -117,11 +117,12 @@ struct ClusterConfig {
   std::string flight_dump_path = "gctrace_flight.json";
   /// gcprof: record the event-causality DAG (obs::CausalityRecorder behind
   /// sim::CausalitySink).  Every fired event yields (id, parent id, sched
-  /// time, fire time, LP tag); tools/gcprof turns the dump into a PDES
-  /// speedup forecast.  Sim-time records never perturb simulation results,
-  /// but enabling the hook disables delivery batching (batched handoffs are
-  /// synchronous and would hide the link->nic DAG edges), so event counts
-  /// differ from a batched run — compare like with like.
+  /// time, fire time, LP tag); tools/gcprof turns the dump into the causal
+  /// critical path and per-LP load.  Sim-time records never perturb
+  /// simulation results, but enabling the hook disables delivery batching
+  /// (batched handoffs are synchronous and would hide the link->nic DAG
+  /// edges), so event counts differ from a batched run — compare like with
+  /// like.
   bool causality_trace = false;
   /// Where the causality dump spills (see obs::CausalityConfig).  Empty
   /// keeps all records in memory for causalityRecorder()->records().
@@ -156,7 +157,6 @@ struct SwitchRecord {
   parpar::SwitchReport report;
 };
 
-// gclint: domain(global)
 class Cluster {
  public:
   using ProcessFactory =

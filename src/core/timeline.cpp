@@ -29,7 +29,6 @@ void ThroughputTimeline::tick() {
   // Self-terminate once the machine is idle so Cluster::run() can drain.
   if (stopped_ || cluster_.master().jobCount() == 0) return;
   sim::LpScope lp(cluster_.sim(), sim::lpTag(sim::LpDomain::kGlobal));
-  // gclint: crossing(observer tick runs in the serialized PDES phase)
   cluster_.sim().schedule(bucket_, [this] { tick(); });
 }
 

@@ -16,7 +16,6 @@
 
 namespace gangcomm::core {
 
-// gclint: domain(global)
 class ThroughputTimeline {
  public:
   /// Starts sampling immediately; one sample per `bucket` of simulated time.

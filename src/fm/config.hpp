@@ -24,15 +24,14 @@ namespace gangcomm::fm {
 struct FmConfig {
   // Host-side costs (200 MHz Pentium-Pro, FM 2.0-era constants).
   sim::Duration host_per_message_ns = 2000;  // fm_send call overhead
-  // gclint: range(100, 1000000) — the per-packet host floor feeds the
-  // node->nic static lookahead; configs must stay inside
+  // Configs keep the per-packet host cost within [100 ns, 1 ms].
   sim::Duration host_per_packet_ns = 1500;   // per-fragment bookkeeping
   double pio_write_mbps = 80.0;              // write-combining fill of the
                                              // NIC send queue (paper §4.2)
   sim::Duration extract_per_packet_ns = 1000;
   sim::Duration handler_base_ns = 500;
   double recv_touch_mbps = 0.0;  // >0: handler streams over the payload
-  // gclint: range(100, 1000000)
+  // Configs keep the refill cost within [100 ns, 1 ms].
   sim::Duration refill_send_ns = 1000;  // host cost to emit a refill packet
 
   /// Receiver refills a sender once it has consumed this fraction of the

@@ -240,11 +240,9 @@ void FmLib::pushPacketToNic(const net::Packet& p) {
   const net::ContextId ctx = params_.ctx;
   net::Nic* nic = &nic_;
   sim::LpScope lp(sim_, lpNic());
-  // gclint: crossing(host PIO completion event on the node LP's queue)
   sim_.scheduleAt(done, [nic, ctx, p] {
     // The context can be freed between PIO start and completion (job torn
     // down mid-flight); the packet is then legally dropped with the job.
-    // gclint: crossing(host PIO into NIC SRAM: cross-LP message to NIC LP)
     (void)nic->hostEnqueueSend(ctx, p);
   });
 }
@@ -338,7 +336,6 @@ void FmLib::maybeSendRefill(int src_rank) {
   const sim::SimTime done = cpu_.acquire(sim_.now(), cfg_.refill_send_ns);
   net::Nic* nic = &nic_;
   sim::LpScope lp(sim_, lpNic());
-  // gclint: crossing(PIO refill write into NIC SRAM: cross-LP message)
   sim_.scheduleAt(done, [nic, r] { nic->hostEnqueueControl(r); });
   ++stats_.refills_sent;
   if (obs::tracing(trace_))
@@ -379,7 +376,6 @@ void FmLib::purgeAcked(int peer) {
   // Head advanced: restart the timer so it measures the age of the *new*
   // head, not of the whole (continuously refilled) window.
   if (rtx_timer_[idx].valid()) {
-    // gclint: crossing(rtx timer cancel on the node LP's own queue)
     sim_.cancel(rtx_timer_[idx]);
     rtx_timer_[idx] = {};
   }
@@ -419,7 +415,6 @@ void FmLib::armRtxTimer(int peer) {
       static_cast<sim::Duration>(rtx_backoff_[idx]);
   sim::LpScope lp(sim_, lpNode());
   rtx_timer_[idx] =
-      // gclint: crossing(rtx timer lives on the node LP's own queue)
       sim_.schedule(delay, [this, peer] { onRtxTimeout(peer); });
 }
 
@@ -498,9 +493,6 @@ void FmLib::sweepResend(int peer, std::uint64_t next_seq,
   for (const net::Packet& p : unacked_[idx]) {
     if (p.seq < next_seq) continue;
     if (p.seq > end_seq || burst >= cfg_.rtx_burst_packets) break;
-    // gclint: crossing(send-queue probe is host PIO on NIC SRAM)
-    // gclint: lookahead(100): the probe's outcome reaches the NIC no
-    // earlier than the PIO push it gates, and host_per_packet_ns >= 100
     if (!nic_.reserveSendSlot(params_.ctx)) break;  // full queue: timer retries
     pushPacketToNic(p);
     ++stats_.packets_retransmitted;
@@ -514,7 +506,6 @@ void FmLib::sweepResend(int peer, std::uint64_t next_seq,
     // queueing behind one giant booking.
     const sim::Duration gap = cpu_.availableAt(sim_.now()) - sim_.now();
     sim::LpScope lp(sim_, lpNode());
-    // gclint: crossing(resend sweep timer on the node LP's own queue)
     rtx_sweep_[idx] = sim_.schedule(
         gap, [this, peer, last, end_seq] { sweepResend(peer, last + 1, end_seq); });
     return;
@@ -547,9 +538,6 @@ void FmLib::setSuspended(bool suspended) {
 }
 
 void FmLib::onArrival(util::SboFunction<void()> cb) {
-  // gclint: crossing(handler install is a host PIO write to the NIC slot)
-  // gclint: lookahead(100): the installed handler only runs from a later
-  // NIC-side delivery, never sooner than the 100 ns host-floor away
   slot().on_arrival = std::move(cb);
 }
 

@@ -59,7 +59,6 @@ struct FmStats {
   std::uint64_t checksum_dropped = 0;  // corrupt packets shed at extract()
 };
 
-// gclint: domain(node)
 class FmLib {
  public:
   struct Params {
@@ -155,8 +154,7 @@ class FmLib {
   net::ContextSlot& slot();
   const net::ContextSlot& slot() const;
   // gcprof LP tags: host-side events (timers, sweeps) live on the node LP;
-  // PIO completions land in NIC SRAM and are accounted to the NIC LP
-  // (gcflow's node->nic edge).
+  // PIO completions land in NIC SRAM and are accounted to the NIC LP.
   std::uint32_t lpNode() const {
     return sim::lpTag(sim::LpDomain::kNode,
                       static_cast<std::uint32_t>(nic_.node()));

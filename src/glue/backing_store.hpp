@@ -14,7 +14,6 @@
 
 namespace gangcomm::glue {
 
-// gclint: domain(node)
 struct SavedContext {
   int rank = -1;
   int job_size = 0;

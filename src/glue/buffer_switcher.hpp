@@ -32,14 +32,13 @@ struct SwitcherConfig {
 };
 
 struct CopyOutcome {
-  // gclint: range(0, inf) — copy costs never run the clock backwards
+  // Never negative: copy costs never run the clock backwards.
   sim::Duration cost_ns = 0;
   std::uint32_t send_pkts = 0;
   std::uint32_t recv_pkts = 0;
   std::uint64_t bytes = 0;
 };
 
-// gclint: domain(node)
 class BufferSwitcher {
  public:
   explicit BufferSwitcher(const host::MemoryModel& mem, SwitcherConfig cfg = {})

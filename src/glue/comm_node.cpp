@@ -157,19 +157,16 @@ void CommNode::COMM_halt_network(util::SboFunction<void()> done) {
   sim_.scheduleAt(t, [this, done = std::move(done)]() mutable {
     switch (cfg_.flush) {
       case FlushProtocol::kBroadcast:
-        // gclint: crossing(gang-switch FSM doorbell PIO: cross-LP command)
         nic_.beginFlush(std::move(done));
         return;
       case FlushProtocol::kAckQuiesce:
         // gclint: allow(flow-switch-order): switch arms are mutually
         // exclusive flush variants; the linter straight-lines lambda bodies
-        // gclint: crossing(ack-quiesce command to the NIC: cross-LP command)
         nic_.beginAckQuiesce(std::move(done));
         return;
       case FlushProtocol::kLocalOnly:
         // gclint: allow(flow-switch-order): mutually exclusive with the
         // arms above inside a straight-lined lambda body
-        // gclint: crossing(local-quiesce command to NIC: cross-LP command)
         nic_.beginLocalQuiesce(std::move(done));
         return;
     }
@@ -270,21 +267,18 @@ void CommNode::COMM_release_network(util::SboFunction<void()> done) {
   sim_.scheduleAt(t, [this, done = std::move(done)]() mutable {
     switch (cfg_.flush) {
       case FlushProtocol::kBroadcast:
-        // gclint: crossing(context release command to NIC: cross-LP command)
         nic_.beginRelease(std::move(done));
         return;
       case FlushProtocol::kAckQuiesce:
         // No synchronization with peers: clear the halt bit and go.
         // gclint: allow(flow-switch-order): switch arms are mutually
         // exclusive release variants; the linter straight-lines lambda bodies
-        // gclint: crossing(quiesce exit command to NIC: cross-LP command)
         nic_.endAckQuiesce();
         done();
         return;
       case FlushProtocol::kLocalOnly:
         // gclint: allow(flow-switch-order): mutually exclusive with the
         // arms above inside a straight-lined lambda body
-        // gclint: crossing(quiesce exit command to NIC: cross-LP command)
         nic_.endLocalQuiesce();
         done();
         return;

@@ -55,8 +55,8 @@ struct CommNodeConfig {
   int total_recv_slots = 668;  // 1 MB pinned DMA buffer
   fm::FmConfig fm;
   SwitcherConfig switcher;
-  /// Host cost to flip the LANai halt/resume flags over PIO.
-  // gclint: range(100, 100000000)
+  /// Host cost to flip the LANai halt/resume flags over PIO; configs keep
+  /// it within [100 ns, 100 ms].
   sim::Duration pio_flag_ns = 2 * sim::kMicrosecond;
   /// Host cost of COMM_init_node: loading the ~100 KB LANai control program
   /// over the WC-mapped SRAM plus routing-table setup.
@@ -74,7 +74,6 @@ struct CommNodeConfig {
   FlushProtocol flush = FlushProtocol::kBroadcast;
 };
 
-// gclint: domain(node)
 class CommNode final : public parpar::CommManager {
  public:
   CommNode(sim::Simulator& s, host::HostCpu& cpu,

@@ -13,7 +13,6 @@
 
 namespace gangcomm::host {
 
-// gclint: domain(node)
 class HostCpu {
  public:
   /// Earliest time at or after `now` the CPU can accept new work.

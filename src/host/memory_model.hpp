@@ -37,7 +37,6 @@ struct MemoryModelConfig {
   double nic_read_mbps = 14.0;
 };
 
-// gclint: domain(node)
 class MemoryModel {
  public:
   MemoryModel() = default;

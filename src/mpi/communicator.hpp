@@ -42,7 +42,6 @@ struct Message {
 
 inline constexpr int kAnySource = -1;
 
-// gclint: domain(node)
 class Communicator {
  public:
   explicit Communicator(fm::FmLib& fmlib);

@@ -288,8 +288,6 @@ sim::SimTime Fabric::inject(const Packet& pkt) {
         const NodeId d = pkt.dst_node;
         sim::LpScope lp(sim_, sim::lpTag(sim::LpDomain::kNic,
                                          static_cast<std::uint32_t>(d)));
-        // gclint: crossing(wire delivery on the link LP; arrival = lookahead)
-        // gclint: edge(link, nic)
         sim_.scheduleAt(rx_done, [this, d] { drainRing(d); });
       }
     }
@@ -299,8 +297,6 @@ sim::SimTime Fabric::inject(const Packet& pkt) {
     sim::LpScope lp(sim_, sim::lpTag(sim::LpDomain::kNic,
                                      static_cast<std::uint32_t>(
                                          poisoned.dst_node)));
-    // gclint: crossing(wire delivery on the link LP; arrival = lookahead)
-    // gclint: edge(link, nic)
     sim_.scheduleAt(rx_done, [this, poisoned, rx_done] {
       if (verify::active(verify_)) verify_->onWireDeliver(poisoned);
       deliver_[static_cast<std::size_t>(poisoned.dst_node)](poisoned, rx_done);
@@ -309,8 +305,6 @@ sim::SimTime Fabric::inject(const Packet& pkt) {
     sim::LpScope lp(sim_, sim::lpTag(sim::LpDomain::kNic,
                                      static_cast<std::uint32_t>(
                                          pkt.dst_node)));
-    // gclint: crossing(wire delivery on the link LP; arrival = lookahead)
-    // gclint: edge(link, nic)
     sim_.scheduleAt(rx_done, [this, pkt, rx_done] {
       if (verify::active(verify_)) verify_->onWireDeliver(pkt);
       deliver_[static_cast<std::size_t>(pkt.dst_node)](pkt, rx_done);
@@ -330,9 +324,6 @@ void Fabric::drainRing(NodeId dst) {
       const sim::SimTime at = e.at;
       sim::LpScope lp(sim_, sim::lpTag(sim::LpDomain::kNic,
                                        static_cast<std::uint32_t>(dst)));
-      // gclint: crossing(ladder drain reschedules on the link LP's queue)
-      // gclint: allow(flow-time-monotonic): the guard two lines up proves
-      // e.at > now; gcflow does not refine intervals through if-branches
       sim_.scheduleAt(at, [this, dst] { drainRing(dst); });
       return;
     }

@@ -38,8 +38,7 @@ namespace gangcomm::net {
 
 struct FabricConfig {
   double link_mbps = 160.0;       // 1.28 Gb/s Myrinet
-  // gclint: range(100, 1000000) — the per-hop latency floor is the static
-  // lookahead the PDES partitioning relies on; configs must stay inside
+  // Configs keep the per-hop latency within [100 ns, 1 ms].
   sim::Duration hop_latency_ns = 500;  // per switch hop (wormhole cut-through)
   /// Coalesce per-packet wire-delivery events into per-destination bursts
   /// (see the delivery-batching comment in fabric.cpp).  Only engages while
@@ -64,7 +63,6 @@ struct FabricStats {
   std::uint64_t control_bytes = 0;
 };
 
-// gclint: domain(link)
 class Fabric {
  public:
   /// Wire-side receiver: `at` is the packet's arrival time (last byte off
@@ -84,9 +82,8 @@ class Fabric {
 
   /// Inject `pkt` from its src_node.  Returns the time at which the source's
   /// output link is free again (the NIC may start its next packet then).
-  /// Delivery at the destination is scheduled internally.
-  // gclint: range(now, inf) — the link frees no earlier than the injection
-  // instant (the final out_busy_ store keeps the summary from proving this)
+  /// Delivery at the destination is scheduled internally.  The link frees
+  /// no earlier than the injection instant.
   sim::SimTime inject(const Packet& pkt);
 
   /// Earliest time the given node's output link is free.

@@ -35,7 +35,6 @@ namespace gangcomm::net {
 
 /// Probabilistic fault knobs for one directed link (loss / latency /
 /// max_jitter per path, after the nckernel simulator's path shape).
-// gclint: domain(link)
 struct LinkFaults {
   double loss = 0.0;     // P(drop) per data packet
   double corrupt = 0.0;  // P(deliver with a poisoned tag) per data packet

@@ -69,10 +69,9 @@ util::Status Nic::allocContext(ContextId id, JobId job, int rank,
 util::Status Nic::freeContext(ContextId id) {
   for (auto it = contexts_.begin(); it != contexts_.end(); ++it) {
     if ((*it)->id == id) {
-      // gclint: allow(flow-credit-underflow): reserved_total_ is by
-      // construction the sum of every context's reserved_send_slots, so
-      // removing one context's share cannot go below zero (a relational
-      // invariant across objects, outside the interval domain)
+      // reserved_total_ is by construction the sum of every context's
+      // reserved_send_slots, so removing one context's share cannot go
+      // below zero.
       reserved_total_ -= (*it)->reserved_send_slots;
       sendq_depth_.erase(sendq_depth_.begin() + (it - contexts_.begin()));
       contexts_.erase(it);
@@ -147,9 +146,8 @@ util::Status Nic::hostEnqueueSend(ContextId id, const Packet& pkt) {
   GC_CHECK_MSG(ctx->reserved_send_slots > 0,
                "hostEnqueueSend without a prior reservation");
   --ctx->reserved_send_slots;
-  // gclint: allow(flow-credit-underflow): the GC_CHECK above proves this
-  // context's share is >= 1 and reserved_total_ is the sum of all shares;
-  // the cross-object sum is outside the interval domain
+  // The GC_CHECK above proves this context's share is >= 1, and
+  // reserved_total_ is the sum of all shares.
   --reserved_total_;
   ++sendq_depth_[idx];
   if (cfg_.nic_level_acks && pkt.type == PacketType::kData &&
@@ -193,7 +191,6 @@ void Nic::scheduleSendScan() {
   if (send_busy_ || scan_scheduled_) return;
   scan_scheduled_ = true;
   sim::LpScope lp(sim_, lpSelf());
-  // gclint: crossing(send scan is an event on the NIC LP's own queue)
   sim_.schedule(0, [this] {
     scan_scheduled_ = false;
     sendScan();
@@ -225,15 +222,12 @@ bool Nic::trySendControlPacket() {
   Packet pkt = control_queue_.front();
   control_queue_.pop_front();
   send_busy_ = true;
-  // gcprof: the +lanai_send_ns event is the head hitting the wire — it is
-  // accounted to the link LP, matching the gcflow nic->link edge.
+  // gcprof: the +lanai_send_ns event is the head hitting the wire, so it
+  // is accounted to the link LP.
   sim::LpScope wire_lp(sim_, sim::lpTag(sim::LpDomain::kLink));
-  // gclint: crossing(LANai send occupancy on the NIC LP's own queue)
   sim_.schedule(cfg_.lanai_send_ns, [this, pkt] {
-    // gclint: crossing(inject is the cross-LP send; latency = lookahead)
     const sim::SimTime done = fabric_.inject(pkt);
     sim::LpScope lp(sim_, lpSelf());
-    // gclint: crossing(send completion event on the NIC LP's own queue)
     sim_.scheduleAt(done, [this, pkt] {
       send_busy_ = false;
       ++stats_.control_sent;
@@ -273,15 +267,12 @@ bool Nic::trySendDataPacket() {
       ptrace_->onNicDequeued(pkt.trace_id, node_, sim_.now());
     const ContextId cid = ctx.id;
     send_busy_ = true;
-    // gcprof: the +lanai_send_ns event is the head hitting the wire — it is
-    // accounted to the link LP, matching the gcflow nic->link edge.
+    // gcprof: the +lanai_send_ns event is the head hitting the wire, so it
+    // is accounted to the link LP.
     sim::LpScope wire_lp(sim_, sim::lpTag(sim::LpDomain::kLink));
-    // gclint: crossing(LANai send occupancy on the NIC LP's own queue)
     sim_.schedule(cfg_.lanai_send_ns, [this, pkt, cid] {
-      // gclint: crossing(inject is the cross-LP send; latency = lookahead)
       const sim::SimTime done = fabric_.inject(pkt);
       sim::LpScope lp(sim_, lpSelf());
-      // gclint: crossing(send completion event on the NIC LP's own queue)
       sim_.scheduleAt(done, [this, cid] {
         send_busy_ = false;
         ++stats_.data_sent;
@@ -689,10 +680,8 @@ void Nic::dmaDeliver(const Packet& pkt, ContextSlot& ctx, sim::SimTime at) {
                   {"seq", static_cast<std::int64_t>(pkt.seq)}});
   const ContextId cid = ctx.id;
   sim::LpScope lp(sim_, lpSelf());
-  // gclint: crossing(DMA completion event on the NIC LP's own queue)
-  // gclint: allow(flow-time-monotonic): every input derives from the wire
-  // arrival argument `at`, which the fabric computed as now-or-later when
-  // it scheduled the delivery; the chain is not visible interprocedurally
+  // Every input derives from the wire arrival argument `at`, which the
+  // fabric computed as now-or-later when it scheduled the delivery.
   sim_.scheduleAt(done, [this, pkt, cid] {
     --dma_in_flight_;
     ContextSlot* c = context(cid);

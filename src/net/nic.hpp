@@ -48,12 +48,10 @@ struct NicConfig {
   std::uint64_t sram_bytes = 512 * 1024;          // LANai 4.3 card RAM
   std::uint64_t sram_reserved_bytes = 112 * 1024; // control program + tables
   std::uint64_t pinned_bytes = 1024 * 1024;       // host DMA receive arena
-  // gclint: range(50, 100000) — the send-side floor feeds the nic->link
-  // static lookahead; configs must stay inside
+  // Configs keep the two LANai per-packet costs within [50 ns, 100 us] and
+  // the DMA setup within [0, 1 ms].
   sim::Duration lanai_send_ns = 500;   // per-packet send-context processing
-  // gclint: range(50, 100000)
   sim::Duration lanai_recv_ns = 500;   // per-packet receive-context processing
-  // gclint: range(0, 1000000)
   sim::Duration dma_setup_ns = 1000;   // DMA descriptor setup
   double dma_mbps = 133.0;             // 32-bit/33 MHz PCI to host memory
   bool enforce_fifo = true;            // assert per-route in-order delivery
@@ -68,7 +66,6 @@ struct NicConfig {
 };
 
 /// One FM communication context resident on the card (Figure 1).
-// gclint: domain(nic)
 struct ContextSlot {
   ContextId id = kNoContext;
   JobId job = kNoJob;
@@ -79,7 +76,6 @@ struct ContextSlot {
 
   /// Send credits toward each peer rank; maintained by the LANai as refills
   /// arrive, read by the host library before each send.
-  // gclint: nonneg
   std::vector<int> send_credits;
   int initial_credits = 0;
 
@@ -100,7 +96,6 @@ struct ContextSlot {
   util::SboFunction<void()> on_arrival;   // a packet landed in recvq
 
   /// Send-queue slots reserved by the host library for copies in flight.
-  // gclint: nonneg
   int reserved_send_slots = 0;
 
   std::uint64_t pkts_sent = 0;
@@ -128,7 +123,6 @@ struct NicStats {
   std::uint64_t flushes = 0;
 };
 
-// gclint: domain(nic)
 class Nic {
  public:
   Nic(sim::Simulator& s, Fabric& fabric, NodeId node, NicConfig cfg = {});
@@ -291,7 +285,6 @@ class Nic {
   std::size_t scan_cursor_ = 0;  // round-robin position of the send context
   // Sum of every context's reserved_send_slots, so the flush FSM's
   // host-PIO-idle test is one load instead of a per-context sweep.
-  // gclint: nonneg
   int reserved_total_ = 0;
 
   std::deque<Packet> control_queue_;

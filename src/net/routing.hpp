@@ -17,7 +17,6 @@
 
 namespace gangcomm::net {
 
-// gclint: domain(link)
 class RoutingTable {
  public:
   /// Single-switch topology: every distinct pair is `hops` apart (default 2:
@@ -30,9 +29,9 @@ class RoutingTable {
 
   int nodeCount() const { return nodes_; }
 
-  /// Number of switch hops on the precomputed src->dst route.
-  // gclint: range(1, 1000) — every SAN route crosses a switch; the src==dst
-  // zero applies only to loopback, which Fabric::inject() asserts away
+  /// Number of switch hops on the precomputed src->dst route.  Every SAN
+  /// route crosses a switch; the src==dst zero applies only to loopback,
+  /// which Fabric::inject() asserts away.
   int hops(NodeId src, NodeId dst) const {
     GC_CHECK(valid(src) && valid(dst));
     if (src == dst) return 0;

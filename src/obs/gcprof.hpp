@@ -13,7 +13,7 @@
 // active at the scheduleAt() call site; events scheduled outside any scope
 // carry sim::kLpUnscoped.  Cancelled events never become records: a
 // cancel+re-add reschedule therefore appears once, under its new id and
-// parent, which is exactly the DAG a PDES execution would replay.
+// parent.
 //
 // Records are appended to a bounded in-memory buffer; when a dump path is
 // configured the buffer spills to a compact JSON file whenever it fills,

@@ -46,10 +46,8 @@ void ControlNetwork::send(int from, int to, CtrlMsg msg) {
   last = deliver;
 
   sim::LpScope lp(sim_, sim::lpTag(sim::LpDomain::kGlobal));
-  // gclint: crossing(control delivery runs in the serialized PDES phase)
-  // gclint: allow(flow-time-monotonic): deliver = tx_done + base latency +
-  // jitter, then clamped forward by the per-pair FIFO branch above; gcflow
-  // does not refine intervals through if-branches
+  // deliver = tx_done + base latency + jitter, then clamped forward by the
+  // per-pair FIFO branch above, so it is never in the past.
   sim_.scheduleAt(deliver, [this, to, msg = std::move(msg)] {
     ++delivered_;
     endpoints_[static_cast<std::size_t>(to)](msg);

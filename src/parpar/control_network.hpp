@@ -31,7 +31,6 @@ struct ControlNetConfig {
   sim::Duration jitter_mean_ns = 60 * sim::kMicrosecond;
 };
 
-// gclint: domain(global)
 class ControlNetwork {
  public:
   using Endpoint = std::function<void(const CtrlMsg&)>;

@@ -116,11 +116,9 @@ void MasterDaemon::handleJobExited(const CtrlMsg& msg) {
   if (on_job_done) on_job_done(msg.job);
   if (jobs_.empty()) {
     if (timer_armed_) {
-      // gclint: crossing(gang master timer cancel: serialized control)
       sim_.cancel(timer_);
       timer_armed_ = false;
     }
-    // gclint: allow(part-ambiguous-callback): bound by the test harness
     if (on_all_jobs_done) on_all_jobs_done();
   }
 }
@@ -129,7 +127,6 @@ void MasterDaemon::armQuantumTimer() {
   if (timer_armed_) return;
   timer_armed_ = true;
   sim::LpScope lp(sim_, sim::lpTag(sim::LpDomain::kGlobal));
-  // gclint: crossing(gang quantum timer: serialized control)
   timer_ = sim_.schedule(cfg_.quantum, [this] {
     timer_armed_ = false;
     quantumExpired();

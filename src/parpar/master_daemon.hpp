@@ -25,7 +25,6 @@ struct MasterConfig {
   bool skip_switch_when_single_slot = true;
 };
 
-// gclint: domain(global)
 class MasterDaemon {
  public:
   MasterDaemon(sim::Simulator& s, ControlNetwork& ctrl, int nodes,

@@ -28,7 +28,6 @@ struct NodeDaemonConfig {
   int master_addr = -1;  // control-network address of the masterd
 };
 
-// gclint: domain(node)
 class NodeDaemon {
  public:
   /// Spawn hook: create the application process for (job, rank).  Provided

@@ -42,7 +42,6 @@ struct LadderEntry {
   std::uint32_t slot;
 };
 
-// gclint: domain(sim)
 class LadderQueue {
  public:
   /// Events at or after this time may be inserted into the ladder; events

@@ -66,11 +66,10 @@ class EventObserver {
 /// for bursty arrival distributions.
 enum class QueueKind : std::uint8_t { kHeap, kLadder };
 
-/// Logical-process domains for causality profiling (gcprof).  The taxonomy
-/// mirrors the gcpart ownership map (gcpart_report.json): node, nic, and
-/// link are the partitionable domains; sim is the engine itself (and the
-/// default tag for unscoped events); global covers the serialized control
-/// plane (parpar daemons, control network, timeline observers).
+/// Logical-process domains for causality profiling (gcprof): node, nic, and
+/// link are the per-machine and wire domains; sim is the engine itself (and
+/// the default tag for unscoped events); global covers the control plane
+/// (parpar daemons, control network, timeline observers).
 enum class LpDomain : std::uint8_t {
   kSim = 0,
   kNode = 1,
@@ -119,7 +118,6 @@ class CausalitySink {
   virtual void onFireEnd(std::uint64_t id) = 0;
 };
 
-// gclint: domain(sim)
 class Simulator {
  public:
   // Sized so the dominant hot-path closure — `this` plus a net::Packet by
@@ -292,7 +290,6 @@ class Simulator {
   std::vector<LadderEntry> scratch_;     // transfer staging, reused
   QueueKind kind_ = QueueKind::kHeap;
   std::uint32_t free_head_ = kNil;
-  // gclint: range(now, now)
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t fired_ = 0;

@@ -49,8 +49,8 @@ constexpr Duration secToNs(double s) {
 /// Duration (ns) to move `bytes` at `mb_per_s` megabytes per second.
 /// Used for every bandwidth-limited cost in the model (links, DMA, PIO,
 /// memcpy).  1 MB = 1e6 bytes, matching the paper's MB/s reporting.
-// gclint: range(0, 1000000000) — a transfer cost is nonnegative and every
-// modeled payload moves in well under a second
+// A transfer cost is nonnegative, and every modeled payload moves in well
+// under a second.
 constexpr Duration transferNs(std::uint64_t bytes, double mb_per_s) {
   return static_cast<Duration>(static_cast<double>(bytes) / mb_per_s * 1e3 +
                                0.5);

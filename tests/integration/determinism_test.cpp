@@ -26,6 +26,7 @@ struct Fingerprint {
   std::size_t switch_records = 0;
   sim::Duration switch_ns_sum = 0;
   double bw = 0;
+  std::uint64_t past_schedule_clamps = 0;
 
   bool operator==(const Fingerprint&) const = default;
 };
@@ -62,6 +63,7 @@ Fingerprint runOnce(glue::FlushProtocol flush, std::uint64_t seed) {
                         rec.report.release_ns;
   fp.bw = dynamic_cast<BandwidthSender*>(cluster.processes(j1)[0])
               ->bandwidthMBps();
+  fp.past_schedule_clamps = cluster.sim().pastScheduleClamps();
   return fp;
 }
 
@@ -72,6 +74,8 @@ TEST_P(DeterminismSweep, IdenticalConfigsReproduceBitIdentically) {
   const Fingerprint a = runOnce(GetParam(), 11);
   const Fingerprint b = runOnce(GetParam(), 11);
   EXPECT_EQ(a, b);
+  // No event is ever scheduled into the past, under every flush protocol.
+  EXPECT_EQ(a.past_schedule_clamps, 0u);
 }
 
 TEST_P(DeterminismSweep, SeedsActuallyMatter) {

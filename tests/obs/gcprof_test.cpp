@@ -1,18 +1,25 @@
 // CausalityRecorder tests: in-memory recording, cancelled-event dropping,
 // the gcprof-v1 dump format (spill + trailer, round-tripped through the
-// tools/gcprof reader), LP naming, and the Cluster metrics surface
-// (gcprof.* + the sim.* engine counters).
+// tools/gcprof reader), LP naming, the Cluster metrics surface (gcprof.* +
+// the sim.* engine counters), and the determinism contract: a sim-mode dump
+// and its analysis are pure functions of the simulated run.
 #include "obs/gcprof.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "analyze.hpp"
 #include "app/workloads.hpp"
+#include "bench/sweep_runner.hpp"
 #include "core/cluster.hpp"
 #include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
@@ -152,6 +159,73 @@ TEST(CausalityRecorder, ClusterPublishesGcprofAndSimCounters) {
   const gcprof_tool::Dump dump = gcprof_tool::loadDump(path);
   EXPECT_EQ(dump.total, cluster.causalityRecorder()->recorded());
   EXPECT_GT(dump.records.size(), 100u);
+}
+
+struct GangedRun {
+  std::string dump;  // raw gcprof-v1 bytes
+  std::size_t switches = 0;
+};
+
+/// One small two-job ganged run under the causality hook: both jobs share
+/// nodes 0 and 1, so the gang scheduler switches between them mid-transfer.
+GangedRun gangedRun(const std::string& name) {
+  const std::string path = testing::TempDir() + "gcprof_det_" + name + ".json";
+  core::ClusterConfig cfg;
+  cfg.nodes = 2;
+  cfg.max_contexts = 2;
+  cfg.quantum = sim::kMillisecond;
+  cfg.causality_trace = true;
+  cfg.causality_dump_path = path;
+  GangedRun out;
+  {
+    core::Cluster cluster(cfg);
+    const auto factory = [](app::Process::Env env)
+        -> std::unique_ptr<app::Process> {
+      if (env.rank == 0)
+        return std::make_unique<app::BandwidthSender>(std::move(env), 1, 1024,
+                                                      300);
+      return std::make_unique<app::BandwidthReceiver>(std::move(env), 0, 300);
+    };
+    cluster.submit(2, factory, {0, 1});
+    cluster.submit(2, factory, {0, 1});
+    cluster.run();
+    if (!cluster.finishCausality()) return out;
+    out.switches = cluster.switchRecords().size();
+  }
+  std::ifstream in(path, std::ios::binary);
+  out.dump.assign(std::istreambuf_iterator<char>(in),
+                  std::istreambuf_iterator<char>());
+  return out;
+}
+
+std::string analysisOf(const std::string& dump) {
+  return gcprof_tool::analysisJson(
+      gcprof_tool::analyze(gcprof_tool::parseDump(dump)));
+}
+
+TEST(CausalityRecorder, SimModeDumpIsAPureFunctionOfTheRun) {
+  const GangedRun a = gangedRun("a");
+  const GangedRun b = gangedRun("b");
+  ASSERT_FALSE(a.dump.empty());
+  EXPECT_GT(a.switches, 0u) << "the run must exercise gang switching";
+  EXPECT_EQ(a.dump, b.dump);
+  const std::string analysis = analysisOf(a.dump);
+  EXPECT_EQ(analysisOf(b.dump), analysis);
+
+  // The same run through the sweep runner, one and two workers at a time.
+  for (const char* jobs : {"1", "2"}) {
+    ASSERT_EQ(setenv("GANGCOMM_JOBS", jobs, 1), 0);
+    const std::vector<GangedRun> runs =
+        bench::parallelMap<GangedRun>(2, [&](std::size_t i) {
+          return gangedRun(std::string("jobs") + jobs + "_" +
+                           std::to_string(i));
+        });
+    for (const GangedRun& r : runs) {
+      EXPECT_EQ(r.dump, a.dump) << "GANGCOMM_JOBS=" << jobs;
+      EXPECT_EQ(analysisOf(r.dump), analysis) << "GANGCOMM_JOBS=" << jobs;
+    }
+  }
+  unsetenv("GANGCOMM_JOBS");
 }
 
 }  // namespace

@@ -36,39 +36,12 @@ FileResult lintFixture(const std::string& name) {
   return lintPath(fixtureOptions(), name);
 }
 
-// The part-* rules come out of the gcpart tree pass, not lintFile: run one
-// fixture through lintTree with partitioning on and no prefix filter.
-TreeResult lintPartFixture(const std::string& name) {
-  LintOptions opts = fixtureOptions();
-  opts.part = true;
-  opts.part_prefixes.clear();
-  return lintTree(opts, {name});
-}
-
-// The flow-* interval rules come out of the gcflow dataflow pass: run one
-// fixture through lintTree with flow on (gcpart runs silently underneath as
-// the cross-LP edge oracle).
-TreeResult lintFlowFixture(const std::string& name) {
-  LintOptions opts = fixtureOptions();
-  opts.flow = true;
-  opts.part_prefixes.clear();
-  return lintTree(opts, {name});
-}
-
-std::set<std::string> rulesFired(const TreeResult& r) {
-  std::set<std::string> out;
-  for (const Diagnostic& d : r.diagnostics) out.insert(d.rule);
-  return out;
-}
-
 // ---- rule coverage ----------------------------------------------------------
 
 struct RuleCase {
   const char* rule;
   const char* fail_fixture;
   const char* pass_fixture;
-  bool part = false;  // lint through the gcpart tree pass instead of lintFile
-  bool flow = false;  // lint through the gcflow dataflow pass
 };
 
 const RuleCase kRuleCases[] = {
@@ -95,34 +68,11 @@ const RuleCase kRuleCases[] = {
     {"bad-allow", "bad_allow_fail.cc", nullptr},
     {"unused-allow", "unused_allow_fail.cc", nullptr},
     {"det-pdes-hazard", "det_pdes_hazard_fail.cc", "det_pdes_hazard_pass.cc"},
-    {"part-cross-write", "part_cross_write_fail.cc", "part_cross_write_pass.cc",
-     true},
-    {"part-global-mut", "part_global_mut_fail.cc", "part_global_mut_pass.cc",
-     true},
-    {"part-ambiguous-callback", "part_ambiguous_callback_fail.cc",
-     "part_ambiguous_callback_pass.cc", true},
-    {"part-bad-domain", "part_bad_domain_fail.cc", "part_bad_domain_pass.cc",
-     true},
-    {"part-unused-crossing", "part_unused_crossing_fail.cc",
-     "part_unused_crossing_pass.cc", true},
-    {"flow-time-monotonic", "flow_time_monotonic_fail.cc",
-     "flow_time_monotonic_pass.cc", false, true},
-    {"flow-int-narrow", "flow_int_narrow_fail.cc", "flow_int_narrow_pass.cc",
-     false, true},
-    {"flow-int-overflow", "flow_int_overflow_fail.cc",
-     "flow_int_overflow_pass.cc", false, true},
-    {"flow-credit-underflow", "flow_credit_underflow_fail.cc",
-     "flow_credit_underflow_pass.cc", false, true},
-    {"flow-bad-anno", "flow_bad_anno_fail.cc", "flow_bad_anno_pass.cc", false,
-     true},
 };
 
 TEST(GclintRules, EveryRuleHasAFiringFailFixture) {
   for (const RuleCase& c : kRuleCases) {
-    const std::set<std::string> fired =
-        c.part   ? rulesFired(lintPartFixture(c.fail_fixture))
-        : c.flow ? rulesFired(lintFlowFixture(c.fail_fixture))
-                 : rulesFired(lintFixture(c.fail_fixture));
+    const std::set<std::string> fired = rulesFired(lintFixture(c.fail_fixture));
     EXPECT_EQ(fired, std::set<std::string>{c.rule})
         << c.fail_fixture << " must fire exactly " << c.rule;
     EXPECT_FALSE(fired.empty()) << c.fail_fixture;
@@ -133,9 +83,7 @@ TEST(GclintRules, EveryRuleHasACleanPassFixture) {
   for (const RuleCase& c : kRuleCases) {
     if (c.pass_fixture == nullptr) continue;
     const std::vector<Diagnostic> diags =
-        c.part   ? lintPartFixture(c.pass_fixture).diagnostics
-        : c.flow ? lintFlowFixture(c.pass_fixture).diagnostics
-                 : lintFixture(c.pass_fixture).diagnostics;
+        lintFixture(c.pass_fixture).diagnostics;
     EXPECT_TRUE(diags.empty())
         << c.pass_fixture << " first: "
         << (diags.empty() ? "" : formatDiagnostic(diags.front()));
@@ -144,7 +92,7 @@ TEST(GclintRules, EveryRuleHasACleanPassFixture) {
 
 TEST(GclintRules, PdesHazardRuleIsQuietWithoutTheMarker) {
   // The same hazard text outside a pdes file is not det-pdes-hazard's
-  // business; the rule is scoped to the future parallel core.
+  // business; the rule is scoped to simulation code.
   FileInput in;
   in.path = "cold.cc";
   in.source = "thread_local int t = 0;\n";

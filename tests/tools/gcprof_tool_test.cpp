@@ -1,14 +1,12 @@
 // Analyzer tests for tools/gcprof: dump parsing, DAG metrics (critical
-// path, granularity makespans, skew), cross-LP edge aggregation against the
-// gcflow lookahead map, the null-message forecast, occupancy buckets, and
-// output determinism.
+// path, ideal speedup, per-LP counts, wall-cost weighting), and output
+// determinism.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "analyze.hpp"
 #include "sim/simulator.hpp"
@@ -42,10 +40,6 @@ std::string syntheticDump() {
   return buf;
 }
 
-std::vector<LookaheadEdge> syntheticLookahead() {
-  return {{"node", "nic", 100}, {"nic", "link", 50}, {"link", "nic", 100}};
-}
-
 TEST(GcprofDump, ParsesRecordsAndTrailer) {
   const Dump d = parseDump(syntheticDump());
   EXPECT_FALSE(d.wall);
@@ -66,18 +60,13 @@ TEST(GcprofDump, RejectsTruncationAndForeignFiles) {
   text.replace(pos, 9, "\"total\":9");
   EXPECT_THROW(parseDump(text), std::runtime_error);
   EXPECT_THROW(parseDump("{\"foo\":1}"), std::runtime_error);
-  EXPECT_THROW(parseLookahead("{\"version\":\"other\"}"),
-               std::runtime_error);
-  EXPECT_THROW(parsePart("{\"schema\":\"other\"}"), std::runtime_error);
 }
 
 TEST(GcprofAnalyze, ComputesCriticalPathAndSpeedups) {
-  const Analysis a = analyze(parseDump(syntheticDump()),
-                             syntheticLookahead());
+  const Analysis a = analyze(parseDump(syntheticDump()));
   EXPECT_EQ(a.events, 6u);
   EXPECT_EQ(a.edges, 4u);
   EXPECT_EQ(a.roots, 2u);
-  EXPECT_EQ(a.cross_edges, 4u);
   EXPECT_EQ(a.span_ns, 251);  // fire 10..261
 
   // Longest chain is 1->2->3->4->5: five events of six total.
@@ -87,79 +76,9 @@ TEST(GcprofAnalyze, ComputesCriticalPathAndSpeedups) {
   EXPECT_EQ(a.critical_ids.front(), 1u);
   EXPECT_EQ(a.critical_ids.back(), 5u);
 
-  // The chain also serializes the list schedule at both granularities.
-  EXPECT_EQ(a.critical_nic, 5u);
-  EXPECT_EQ(a.critical_node, 5u);
-  EXPECT_DOUBLE_EQ(a.speedup_nic, 6.0 / 5.0);
-  EXPECT_DOUBLE_EQ(a.speedup_node, 6.0 / 5.0);
-
-  // node granularity merges nic.i into node.i: node.0 holds {1,2},
-  // node.1 holds {4,5,6} -> max 3 over mean 2.5.
-  EXPECT_DOUBLE_EQ(a.skew_node, 3.0 / 2.5);
-  // nic granularity: nic.0 and nic.1 hold one event each.
-  EXPECT_DOUBLE_EQ(a.skew_nic, 1.0);
-
-  ASSERT_EQ(a.lps.size(), 5u);         // node.0, node.1, nic.0, nic.1, link
-  ASSERT_EQ(a.node_parts.size(), 3u);  // node.0, node.1, link
-}
-
-TEST(GcprofAnalyze, CrossEdgesMatchLookaheadAndForecastNulls) {
-  const Analysis a = analyze(parseDump(syntheticDump()),
-                             syntheticLookahead());
-  ASSERT_EQ(a.pairs.size(), 4u);  // sorted: link->nic, nic->link, nic->node,
-                                  // node->nic
-  const DomainPair& ln = a.pairs[0];
-  EXPECT_EQ(ln.from, "link");
-  EXPECT_EQ(ln.to, "nic");
-  EXPECT_EQ(ln.count, 1u);
-  EXPECT_EQ(ln.channels, 1u);
-  EXPECT_EQ(ln.min_latency, 100);
-  EXPECT_EQ(ln.lookahead_ns, 100);
-  EXPECT_EQ(ln.clears, 1u);
-  // span 251 / lookahead 100 -> 3 windows, minus the 1 real message.
-  EXPECT_EQ(ln.null_msgs_max, 2u);
-  EXPECT_DOUBLE_EQ(ln.null_overhead_pct, 100.0 * 2.0 / 8.0);
-
-  const DomainPair& nl = a.pairs[1];
-  EXPECT_EQ(nl.from, "nic");
-  EXPECT_EQ(nl.to, "link");
-  EXPECT_EQ(nl.lookahead_ns, 50);
-  EXPECT_EQ(nl.null_msgs_max, 5u);  // ceil(251/50)=6 windows - 1 real
-
-  const DomainPair& nn = a.pairs[2];
-  EXPECT_EQ(nn.from, "nic");
-  EXPECT_EQ(nn.to, "node");
-  EXPECT_EQ(nn.lookahead_ns, -1);  // gcflow proves no nic->node lookahead
-  EXPECT_EQ(nn.null_msgs_max, 0u);
-}
-
-TEST(GcprofAnalyze, OccupancyBucketsClassifyLatencyOverLookahead) {
-  // Four node->nic edges under a 100 ns lookahead with latencies
-  // 99 (<1x: a violation), 100 (1-2x), 250 (2-4x), 900 (8-16x).
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "{\"gcprof\":\"gcprof-v1\",\"mode\":\"sim\",\n"
-                "\"records\":[\n"
-                "[1,0,0,10,%u],[2,0,0,20,%u],[3,0,0,30,%u],[4,0,0,40,%u],\n"
-                "[5,1,10,109,%u],[6,2,20,120,%u],[7,3,30,280,%u],"
-                "[8,4,40,940,%u]\n"
-                "],\"lps\":[],\"total\":8,\"cancelled\":0,\"pending\":0}\n",
-                tag(sim::LpDomain::kNode, 0), tag(sim::LpDomain::kNode, 1),
-                tag(sim::LpDomain::kNode, 2), tag(sim::LpDomain::kNode, 3),
-                tag(sim::LpDomain::kNic, 0), tag(sim::LpDomain::kNic, 1),
-                tag(sim::LpDomain::kNic, 2), tag(sim::LpDomain::kNic, 3));
-  const Analysis a =
-      analyze(parseDump(buf), {{"node", "nic", 100}});
-  ASSERT_EQ(a.pairs.size(), 1u);
-  const DomainPair& p = a.pairs[0];
-  EXPECT_EQ(p.count, 4u);
-  EXPECT_EQ(p.channels, 4u);
-  EXPECT_EQ(p.clears, 3u);
-  EXPECT_EQ(p.occupancy[0], 1u);  // the 99 ns violation
-  EXPECT_EQ(p.occupancy[1], 1u);  // 100 ns = exactly 1x
-  EXPECT_EQ(p.occupancy[2], 1u);  // 250 ns
-  EXPECT_EQ(p.occupancy[4], 1u);  // 900 ns = 9x
-  EXPECT_EQ(p.occupancy[3], 0u);
+  ASSERT_EQ(a.lps.size(), 5u);  // node.0, node.1, nic.0, nic.1, link
+  EXPECT_EQ(a.lps[0].name, "node.0");
+  EXPECT_EQ(a.lps[1].events, 2u);  // node.1: the second root and event 5
 }
 
 TEST(GcprofAnalyze, WallModeWeighsWorkByHandlerCost) {
@@ -176,7 +95,7 @@ TEST(GcprofAnalyze, WallModeWeighsWorkByHandlerCost) {
   const Dump d = parseDump(buf);
   EXPECT_TRUE(d.wall);
   EXPECT_EQ(d.records[2].wall_ns, 100);
-  const Analysis a = analyze(d, {});
+  const Analysis a = analyze(d);
   EXPECT_EQ(a.wall_total_ns, 112);
   EXPECT_EQ(a.wall_critical_ns, 100);  // the heavy root beats the 5+7 chain
   EXPECT_DOUBLE_EQ(a.wall_ideal_speedup, 112.0 / 100.0);
@@ -184,21 +103,19 @@ TEST(GcprofAnalyze, WallModeWeighsWorkByHandlerCost) {
 
 TEST(GcprofOutputs, JsonAndReportAreDeterministic) {
   const Dump d = parseDump(syntheticDump());
-  const Analysis a1 = analyze(d, syntheticLookahead());
-  const Analysis a2 = analyze(d, syntheticLookahead());
-  EXPECT_EQ(dagSummaryJson(a1), dagSummaryJson(a2));
+  const Analysis a1 = analyze(d);
+  const Analysis a2 = analyze(d);
   EXPECT_EQ(analysisJson(a1), analysisJson(a2));
-  PartSummary part;
-  EXPECT_EQ(renderReport(a1, part), renderReport(a2, part));
-  EXPECT_NE(dagSummaryJson(a1).find("\"critical_path_events\":5"),
+  EXPECT_EQ(renderReport(a1), renderReport(a2));
+  EXPECT_NE(analysisJson(a1).find("\"critical_path_events\":5"),
             std::string::npos);
-  EXPECT_NE(dagSummaryJson(a1).find("\"ideal_speedup\":1.200"),
+  EXPECT_NE(analysisJson(a1).find("\"ideal_speedup\":1.200"),
             std::string::npos);
 }
 
 TEST(GcprofOutputs, CsvAndChromeTraceWriteExpectedShapes) {
   const Dump d = parseDump(syntheticDump());
-  const Analysis a = analyze(d, syntheticLookahead());
+  const Analysis a = analyze(d);
 
   const std::string csv = testing::TempDir() + "gcprof_tool_test.csv";
   ASSERT_TRUE(writeCsv(a, csv));
@@ -225,23 +142,6 @@ TEST(GcprofOutputs, CsvAndChromeTraceWriteExpectedShapes) {
   EXPECT_NE(text.find("\"ph\":\"s\""), std::string::npos);
   EXPECT_NE(text.find("\"ph\":\"f\""), std::string::npos);
   EXPECT_NE(text.find("\"name\":\"critical\""), std::string::npos);
-}
-
-TEST(GcprofParsers, LookaheadAndPartReadCheckedInFormats) {
-  const std::vector<LookaheadEdge> la = parseLookahead(
-      "{\"version\":\"gcflow-v1\",\"edges\":["
-      "{\"from\":\"nic\",\"to\":\"link\",\"min_lookahead_ns\":50,"
-      "\"sites\":[{\"file\":\"x\",\"line\":1}]}]}");
-  ASSERT_EQ(la.size(), 1u);
-  EXPECT_EQ(la[0].from, "nic");
-  EXPECT_EQ(la[0].min_ns, 50);
-
-  const PartSummary part = parsePart(
-      "{\"schema\":\"gcpart-v1\",\"summary\":{\"domains\":28,"
-      "\"crossings\":32,\"waived\":32}}");
-  EXPECT_EQ(part.domains, 28);
-  EXPECT_EQ(part.crossings, 32);
-  EXPECT_EQ(part.waived, 32);
 }
 
 }  // namespace

@@ -46,12 +46,6 @@ std::string relativize(const LintOptions& opts, const fs::path& p) {
   return rel.generic_string();
 }
 
-bool hotByPath(const LintOptions& opts, const std::string& rel) {
-  for (const std::string& prefix : opts.hot_prefixes)
-    if (rel.rfind(prefix, 0) == 0) return true;
-  return false;
-}
-
 bool matchesPrefixes(const std::vector<std::string>& prefixes,
                      const std::string& rel) {
   for (const std::string& prefix : prefixes)
@@ -77,6 +71,14 @@ void jsonEscape(std::string& out, const std::string& s) {
         }
     }
   }
+}
+
+bool writeTextFile(const std::string& content, const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) return false;
+  const bool ok =
+      std::fwrite(content.data(), 1, content.size(), f) == content.size();
+  return std::fclose(f) == 0 && ok;
 }
 
 }  // namespace
@@ -113,7 +115,7 @@ FileResult lintPath(const LintOptions& opts, const std::string& rel_path) {
         {rel_path, 0, "bad-allow", "cannot read file"});
     return r;
   }
-  input.hot_by_path = hotByPath(opts, rel_path);
+  input.hot_by_path = matchesPrefixes(opts.hot_prefixes, rel_path);
   input.pdes = matchesPrefixes(opts.pdes_prefixes, rel_path);
 
   // Seed the unordered-container symbol table from the paired header so a
@@ -178,36 +180,6 @@ TreeResult lintTree(const LintOptions& opts,
     for (SuppressionUse& s : r.suppressions)
       out.suppressions.push_back(std::move(s));
   }
-  if (opts.part || opts.flow) {
-    std::vector<PartFile> part_files;
-    for (const std::string& rel : rel_paths) {
-      if (!opts.part_prefixes.empty() &&
-          !matchesPrefixes(opts.part_prefixes, rel))
-        continue;
-      PartFile pf;
-      pf.path = rel;
-      if (!readFile(resolve(opts, rel), pf.source)) continue;
-      part_files.push_back(std::move(pf));
-    }
-    out.part = analyzeParts(part_files);
-    // gcpart diagnostics surface only when --part was asked for; a bare
-    // --flow run uses gcpart purely as the cross-LP edge oracle.
-    if (opts.part) {
-      out.part_ran = true;
-      for (const Diagnostic& d : out.part.diagnostics)
-        out.diagnostics.push_back(d);
-      for (const SuppressionUse& s : out.part.suppressions)
-        out.suppressions.push_back(s);
-    }
-    if (opts.flow) {
-      out.flow = analyzeFlow(part_files, out.part.crossings);
-      out.flow_ran = true;
-      for (const Diagnostic& d : out.flow.diagnostics)
-        out.diagnostics.push_back(d);
-      for (const SuppressionUse& s : out.flow.suppressions)
-        out.suppressions.push_back(s);
-    }
-  }
   return out;
 }
 
@@ -249,19 +221,7 @@ bool writeJsonReport(const TreeResult& result, const std::string& path) {
   }
   j += result.suppressions.empty() ? "]\n" : "\n  ]\n";
   j += "}\n";
-
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(j.data(), 1, j.size(), f) == j.size();
-  return std::fclose(f) == 0 && ok;
-}
-
-bool writeTextFile(const std::string& content, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool ok =
-      std::fwrite(content.data(), 1, content.size(), f) == content.size();
-  return std::fclose(f) == 0 && ok;
+  return writeTextFile(j, path);
 }
 
 bool writeSarif(const TreeResult& result, const std::string& path) {

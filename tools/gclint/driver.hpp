@@ -6,8 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "tools/gclint/callgraph.hpp"
-#include "tools/gclint/dataflow.hpp"
 #include "tools/gclint/rules.hpp"
 
 namespace gclint {
@@ -19,15 +17,6 @@ struct LintOptions {
   /// Files under these prefixes get the pre-PDES hazard rule
   /// (det-pdes-hazard); a `// gclint: pdes` marker opts a file in anywhere.
   std::vector<std::string> pdes_prefixes = {"src/"};
-  /// Run the interprocedural gcpart partition analysis over the linted
-  /// files matching part_prefixes (empty = every collected file, which is
-  /// what the single-file fixtures use).
-  bool part = false;
-  std::vector<std::string> part_prefixes = {"src/"};
-  /// Run the gcflow interval dataflow pass (flow-* rules + the PDES
-  /// lookahead map) over the same file set as gcpart; gcpart runs first to
-  /// supply the cross-LP crossings even when `part` itself is off.
-  bool flow = false;
   /// Worker threads for the per-file tokenize/analyze phase.  0 = take
   /// GANGCOMM_JOBS from the environment, falling back to the hardware
   /// concurrency (the sweep_runner convention).  Output is byte-identical
@@ -40,10 +29,6 @@ struct TreeResult {
   std::vector<SuppressionUse> suppressions;
   int files_scanned = 0;
   std::vector<std::string> hot_files;  // root-relative, sorted
-  bool part_ran = false;
-  PartResult part;  // populated when LintOptions.part is set
-  bool flow_ran = false;
-  FlowResult flow;  // populated when LintOptions.flow is set
 };
 
 /// Recursively collect .hpp/.h/.hh/.cpp/.cc files under each path (a path
@@ -70,8 +55,5 @@ bool writeJsonReport(const TreeResult& result, const std::string& path);
 /// SARIF 2.1.0 log of the diagnostics, for PR annotation uploads.  Returns
 /// false when the file cannot be written.
 bool writeSarif(const TreeResult& result, const std::string& path);
-
-/// Write `content` to `path` (gcpart report / dot output helpers).
-bool writeTextFile(const std::string& content, const std::string& path);
 
 }  // namespace gclint

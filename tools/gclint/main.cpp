@@ -1,22 +1,14 @@
 // gclint — project-invariant static analysis for the gangcomm tree.
 //
 //   gclint [--root DIR] [--json FILE] [--sarif FILE] [--hot PREFIX]...
-//          [--no-default-hot] [--part] [--part-prefix PREFIX]...
-//          [--part-report FILE] [--part-dot FILE] [--flow]
-//          [--lookahead-report FILE] [--jobs N] [--list-rules] PATH...
+//          [--no-default-hot] [--jobs N] [--list-rules] PATH...
 //
 // PATHs (files or directories, relative to --root) are scanned for
-// violations of the determinism (det-*), hot-path allocation (hot-*), and
-// hygiene (hyg-*) invariants; see DESIGN.md "Static analysis" for the rule
-// tables and suppression syntax.  --part additionally runs the gcpart
-// interprocedural partition-ownership analysis (part-* rules) over the
-// files matching --part-prefix (default src/; pass an empty prefix to
-// analyze everything, which is what the fixtures do) and can emit the
-// ownership map as JSON (--part-report) and Graphviz (--part-dot).
-// --flow runs the gcflow interval dataflow pass (flow-* rules) over the
-// same file set and --lookahead-report writes the PDES per-link lookahead
-// map (gcflow_lookahead.json).  --jobs (or GANGCOMM_JOBS) sets the worker
-// count for the per-file phase; output is byte-identical at any job count.
+// violations of the determinism (det-*), hot-path allocation (hot-*),
+// hygiene (hyg-*), and flow-sensitive protocol (flow-*) invariants; see
+// DESIGN.md "Static analysis" for the rule tables and suppression syntax.
+// --jobs (or GANGCOMM_JOBS) sets the worker count; output is
+// byte-identical at any job count.
 // Exit status: 0 clean, 1 diagnostics emitted, 2 usage error.
 #include <cstdio>
 #include <cstdlib>
@@ -33,8 +25,6 @@ int usage() {
       stderr,
       "usage: gclint [--root DIR] [--json FILE] [--sarif FILE]\n"
       "              [--hot PREFIX]... [--no-default-hot]\n"
-      "              [--part] [--part-prefix PREFIX]... [--part-report FILE]\n"
-      "              [--part-dot FILE] [--flow] [--lookahead-report FILE]\n"
       "              [--jobs N] [--list-rules] PATH...\n");
   return 2;
 }
@@ -45,14 +35,9 @@ int main(int argc, char** argv) {
   gclint::LintOptions opts;
   std::string json_path;
   std::string sarif_path;
-  std::string part_report_path;
-  std::string part_dot_path;
-  std::string lookahead_report_path;
   std::vector<std::string> paths;
   std::vector<std::string> extra_hot;
-  std::vector<std::string> part_prefixes;
   bool default_hot = true;
-  bool part_prefixes_set = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -75,26 +60,6 @@ int main(int argc, char** argv) {
       extra_hot.push_back(argv[i]);
     } else if (arg == "--no-default-hot") {
       default_hot = false;
-    } else if (arg == "--part") {
-      opts.part = true;
-    } else if (arg == "--part-prefix") {
-      if (++i >= argc) return usage();
-      part_prefixes_set = true;
-      if (argv[i][0] != '\0') part_prefixes.push_back(argv[i]);
-    } else if (arg == "--part-report") {
-      if (++i >= argc) return usage();
-      opts.part = true;
-      part_report_path = argv[i];
-    } else if (arg == "--part-dot") {
-      if (++i >= argc) return usage();
-      opts.part = true;
-      part_dot_path = argv[i];
-    } else if (arg == "--flow") {
-      opts.flow = true;
-    } else if (arg == "--lookahead-report") {
-      if (++i >= argc) return usage();
-      opts.flow = true;
-      lookahead_report_path = argv[i];
     } else if (arg == "--jobs") {
       if (++i >= argc) return usage();
       opts.jobs = std::atoi(argv[i]);
@@ -108,7 +73,6 @@ int main(int argc, char** argv) {
   if (paths.empty()) return usage();
   if (!default_hot) opts.hot_prefixes.clear();
   for (std::string& h : extra_hot) opts.hot_prefixes.push_back(std::move(h));
-  if (part_prefixes_set) opts.part_prefixes = std::move(part_prefixes);
 
   const std::vector<std::string> files = gclint::collectFiles(opts, paths);
   if (files.empty()) {
@@ -130,49 +94,10 @@ int main(int argc, char** argv) {
                  sarif_path.c_str());
     return 2;
   }
-  if (!part_report_path.empty() &&
-      !gclint::writeTextFile(gclint::partReportJson(result.part),
-                             part_report_path)) {
-    std::fprintf(stderr, "gclint: cannot write gcpart report to %s\n",
-                 part_report_path.c_str());
-    return 2;
-  }
-  if (!part_dot_path.empty() &&
-      !gclint::writeTextFile(gclint::partDot(result.part), part_dot_path)) {
-    std::fprintf(stderr, "gclint: cannot write gcpart dot to %s\n",
-                 part_dot_path.c_str());
-    return 2;
-  }
-  if (!lookahead_report_path.empty() &&
-      !gclint::writeTextFile(gclint::flowLookaheadJson(result.flow),
-                             lookahead_report_path)) {
-    std::fprintf(stderr, "gclint: cannot write lookahead map to %s\n",
-                 lookahead_report_path.c_str());
-    return 2;
-  }
-
   std::fprintf(stderr,
                "gclint: %d files scanned (%zu hot), %zu diagnostics, "
                "%zu suppressions in use\n",
                result.files_scanned, result.hot_files.size(),
                result.diagnostics.size(), result.suppressions.size());
-  if (result.part_ran) {
-    std::size_t waived = 0;
-    for (const gclint::PartCrossing& c : result.part.crossings)
-      if (c.waived) ++waived;
-    std::fprintf(stderr,
-                 "gcpart: %zu domains, %zu roots, %zu crossings "
-                 "(%zu waived), %zu ambiguous\n",
-                 result.part.domains.size(), result.part.roots.size(),
-                 result.part.crossings.size(), waived,
-                 result.part.ambiguous.size());
-  }
-  if (result.flow_ran) {
-    std::fprintf(stderr,
-                 "gcflow: %d functions analyzed, %d schedule sites, "
-                 "%zu cross-LP edges in the lookahead map\n",
-                 result.flow.functions_analyzed, result.flow.schedule_sites,
-                 result.flow.edges.size());
-  }
   return result.diagnostics.empty() ? 0 : 1;
 }

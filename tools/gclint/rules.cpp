@@ -32,22 +32,6 @@ constexpr const char* kFlowSwitchOrder = "flow-switch-order";
 constexpr const char* kBadAllow = "bad-allow";
 constexpr const char* kUnusedAllow = "unused-allow";
 constexpr const char* kDetPdesHazard = "det-pdes-hazard";
-// The part-* rules are emitted by the interprocedural gcpart pass (see
-// tools/gclint/callgraph.cpp); they are registered here so allow() validation
-// and the fixture coverage suite know about them.
-constexpr const char* kPartCrossWrite = "part-cross-write";
-constexpr const char* kPartGlobalMut = "part-global-mut";
-constexpr const char* kPartAmbiguous = "part-ambiguous-callback";
-constexpr const char* kPartBadDomain = "part-bad-domain";
-constexpr const char* kPartUnusedCrossing = "part-unused-crossing";
-// The flow-* interval rules are emitted by the gcflow dataflow pass (see
-// tools/gclint/dataflow.cpp); registered here for allow() validation and
-// fixture coverage, like the part-* family above.
-constexpr const char* kFlowTimeMonotonic = "flow-time-monotonic";
-constexpr const char* kFlowIntNarrow = "flow-int-narrow";
-constexpr const char* kFlowIntOverflow = "flow-int-overflow";
-constexpr const char* kFlowCreditUnderflow = "flow-credit-underflow";
-constexpr const char* kFlowBadAnno = "flow-bad-anno";
 
 bool isHeaderPath(const std::string& path) {
   auto ends = [&](const char* suf) {
@@ -108,15 +92,6 @@ Directives parseDirectives(const std::string& file,
       out.pdes_marker = true;
       continue;
     }
-    // domain(...) and crossing(...) belong to the gcpart pass; parsed (and
-    // validated) by parseDomainDirectives in tools/gclint/domains.cpp.
-    if (rest.rfind("domain", 0) == 0 || rest.rfind("crossing", 0) == 0)
-      continue;
-    // range/nonneg/lookahead/edge are gcflow annotation seeds; parsed (and
-    // validated) by the dataflow pass in tools/gclint/dataflow.cpp.
-    if (rest.rfind("range", 0) == 0 || rest == "nonneg" ||
-        rest.rfind("lookahead", 0) == 0 || rest.rfind("edge", 0) == 0)
-      continue;
     if (rest.rfind("allow", 0) != 0) {
       out.errors.push_back({file, c.line, kBadAllow,
                             "unrecognized gclint directive: '" + rest + "'"});
@@ -150,15 +125,6 @@ Directives parseDirectives(const std::string& file,
                                 "): <why this site is exempt>"});
       continue;
     }
-    // part-* diagnostics come from the interprocedural gcpart pass and
-    // flow-* ones from the gcflow dataflow pass; both do their own allow
-    // matching, so skipping them here keeps lintFile from flagging those
-    // allows as unused.
-    if (rule.rfind("part-", 0) == 0) continue;
-    if (rule == kFlowTimeMonotonic || rule == kFlowIntNarrow ||
-        rule == kFlowIntOverflow || rule == kFlowCreditUnderflow ||
-        rule == kFlowBadAnno)
-      continue;
     Allow a;
     a.rule = rule;
     a.reason = std::move(reason);
@@ -293,11 +259,11 @@ void ruleDetTime(const std::string& file, const Tokens& toks,
   }
 }
 
-/// Pre-PDES hazards: constructs that give different results at different
-/// thread counts, which would break "same results at any thread count" the
-/// moment the event core is sharded (see DESIGN.md "Ownership domains").
-/// Runs only on files inside the configured pdes prefixes (src/ by default)
-/// or carrying a `// gclint: pdes` marker.
+/// Host-thread hazards: constructs that give different results at different
+/// thread counts.  The jobs=N sweep runner drives one Cluster per worker
+/// thread, so simulation code must hold no state a second thread could see
+/// or depend on.  Runs only on files inside the configured pdes prefixes
+/// (src/ by default) or carrying a `// gclint: pdes` marker.
 void ruleDetPdesHazard(const std::string& file, const Tokens& toks,
                        std::vector<Diagnostic>& out) {
   for (std::size_t i = 0; i < toks.size(); ++i) {
@@ -1127,10 +1093,7 @@ const std::vector<std::string>& allRuleIds() {
       kHotNewDelete,   kHotMakeShared,     kHygUsingNamespace,
       kHygExplicitCtor, kHygIwyu,          kFlowHaltRelease,
       kFlowStatusIgnored, kFlowSwitchOrder, kBadAllow,
-      kUnusedAllow,    kPartCrossWrite,    kPartGlobalMut,
-      kPartAmbiguous,  kPartBadDomain,     kPartUnusedCrossing,
-      kFlowTimeMonotonic, kFlowIntNarrow,  kFlowIntOverflow,
-      kFlowCreditUnderflow, kFlowBadAnno,
+      kUnusedAllow,
   };
   return kIds;
 }

@@ -1,14 +1,12 @@
 #include "analyze.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -230,26 +228,6 @@ const char* domainName(std::uint32_t tag) {
   return "?";
 }
 
-/// Per-node partition: nic.i folds into node.i; everything else unchanged.
-std::uint32_t nodePart(std::uint32_t tag) {
-  if (sim::lpTagDomain(tag) == sim::LpDomain::kNic)
-    return sim::lpTag(sim::LpDomain::kNode, sim::lpTagIndex(tag));
-  return tag;
-}
-
-std::size_t occBucket(std::int64_t latency, std::int64_t lookahead) {
-  if (latency < lookahead) return 0;
-  std::uint64_t ratio =
-      static_cast<std::uint64_t>(latency) /
-      static_cast<std::uint64_t>(lookahead);
-  std::size_t b = 1;
-  while (b + 1 < kOccBuckets && ratio >= 2) {
-    ratio >>= 1;
-    ++b;
-  }
-  return b;
-}
-
 std::string usStr(std::int64_t ns) {
   return util::formatDouble(static_cast<double>(ns) / 1000.0, 3);
 }
@@ -261,13 +239,6 @@ double pct(std::uint64_t part, std::uint64_t whole) {
 }
 
 }  // namespace
-
-const char* occBucketLabel(std::size_t i) {
-  static const char* kLabels[kOccBuckets] = {"<1x",    "1-2x",   "2-4x",
-                                             "4-8x",   "8-16x",  "16-32x",
-                                             "32-64x", ">=64x"};
-  return i < kOccBuckets ? kLabels[i] : "?";
-}
 
 Dump parseDump(const std::string& text) {
   const JsonValue root = JsonParser(text).parse();
@@ -316,69 +287,7 @@ Dump loadDump(const std::string& path) {
   }
 }
 
-std::vector<LookaheadEdge> parseLookahead(const std::string& text) {
-  const JsonValue root = JsonParser(text).parse();
-  const JsonValue* version = root.find("version");
-  if (version == nullptr || version->str != "gcflow-v1")
-    throw std::runtime_error("not a gcflow-v1 lookahead map");
-  const JsonValue* edges = root.find("edges");
-  if (edges == nullptr || edges->kind != JsonValue::Kind::kArray)
-    throw std::runtime_error("lookahead map has no edges array");
-  std::vector<LookaheadEdge> out;
-  for (const JsonValue& e : edges->items) {
-    LookaheadEdge le;
-    const JsonValue* from = e.find("from");
-    const JsonValue* to = e.find("to");
-    const JsonValue* min = e.find("min_lookahead_ns");
-    if (from == nullptr || to == nullptr || min == nullptr)
-      throw std::runtime_error("malformed lookahead edge");
-    le.from = from->str;
-    le.to = to->str;
-    le.min_ns = min->asI64();
-    out.push_back(std::move(le));
-  }
-  return out;
-}
-
-std::vector<LookaheadEdge> loadLookahead(const std::string& path) {
-  try {
-    return parseLookahead(readFileOrDie(path, "lookahead map"));
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "gcprof: %s: %s\n", path.c_str(), e.what());
-    std::exit(2);
-  }
-}
-
-PartSummary parsePart(const std::string& text) {
-  const JsonValue root = JsonParser(text).parse();
-  PartSummary p;
-  const JsonValue* schema = root.find("schema");
-  if (schema != nullptr) p.schema = schema->str;
-  if (p.schema != "gcpart-v1")
-    throw std::runtime_error("not a gcpart-v1 partition report");
-  const JsonValue* summary = root.find("summary");
-  if (summary != nullptr) {
-    const JsonValue* domains = summary->find("domains");
-    const JsonValue* crossings = summary->find("crossings");
-    const JsonValue* waived = summary->find("waived");
-    if (domains != nullptr) p.domains = domains->asI64(-1);
-    if (crossings != nullptr) p.crossings = crossings->asI64(-1);
-    if (waived != nullptr) p.waived = waived->asI64(-1);
-  }
-  return p;
-}
-
-PartSummary loadPart(const std::string& path) {
-  try {
-    return parsePart(readFileOrDie(path, "partition report"));
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "gcprof: %s: %s\n", path.c_str(), e.what());
-    std::exit(2);
-  }
-}
-
-Analysis analyze(const Dump& dump,
-                 const std::vector<LookaheadEdge>& lookahead) {
+Analysis analyze(const Dump& dump) {
   Analysis a;
   a.wall = dump.wall;
   a.cancelled = dump.cancelled;
@@ -387,28 +296,11 @@ Analysis analyze(const Dump& dump,
   a.events = n;
   if (n == 0) return a;
 
-  std::map<std::pair<std::string, std::string>, std::int64_t> la;
-  for (const LookaheadEdge& e : lookahead) {
-    auto [it, inserted] = la.emplace(std::make_pair(e.from, e.to), e.min_ns);
-    if (!inserted) it->second = std::min(it->second, e.min_ns);
-  }
-
   std::unordered_map<std::uint64_t, std::size_t> index;
   index.reserve(n * 2);
-  std::vector<std::uint64_t> depth(n), comp_node(n), comp_nic(n);
+  std::vector<std::uint64_t> depth(n);
   std::vector<std::int64_t> wdepth(a.wall ? n : 0);
-  std::unordered_map<std::uint32_t, std::uint64_t> last_node, last_nic;
-  std::map<std::uint32_t, std::uint64_t> lp_counts, node_counts;
-
-  struct PairAgg {
-    std::uint64_t count = 0;
-    std::int64_t min_lat = 0, max_lat = 0, sum_lat = 0;
-    std::set<std::pair<std::uint32_t, std::uint32_t>> channels;
-    std::array<std::uint64_t, kOccBuckets> occ{};
-    std::uint64_t clears = 0;
-    std::int64_t lookahead = -1;
-  };
-  std::map<std::pair<std::string, std::string>, PairAgg> pairs;
+  std::map<std::uint32_t, std::uint64_t> lp_counts;
 
   a.first_fire = dump.records.front().fire;
   a.last_fire = dump.records.front().fire;
@@ -420,7 +312,6 @@ Analysis analyze(const Dump& dump,
     a.first_fire = std::min(a.first_fire, r.fire);
     a.last_fire = std::max(a.last_fire, r.fire);
     ++lp_counts[r.lp];
-    ++node_counts[nodePart(r.lp)];
 
     const auto pit = r.parent != 0 ? index.find(r.parent) : index.end();
     const bool has_parent = pit != index.end();
@@ -437,111 +328,22 @@ Analysis analyze(const Dump& dump,
       a.wall_critical_ns = std::max(a.wall_critical_ns, wdepth[i]);
     }
 
-    // List schedule at each granularity: after the parent, after the
-    // previous event on this partition, one unit each.
-    {
-      const std::uint32_t part = nodePart(r.lp);
-      std::uint64_t& last = last_node[part];
-      comp_node[i] = std::max(has_parent ? comp_node[pi] : 0, last) + 1;
-      last = comp_node[i];
-      a.critical_node = std::max(a.critical_node, comp_node[i]);
-    }
-    {
-      std::uint64_t& last = last_nic[r.lp];
-      comp_nic[i] = std::max(has_parent ? comp_nic[pi] : 0, last) + 1;
-      last = comp_nic[i];
-      a.critical_nic = std::max(a.critical_nic, comp_nic[i]);
-    }
-
-    if (!has_parent) {
+    if (has_parent)
+      ++a.edges;
+    else
       ++a.roots;
-      continue;
-    }
-    ++a.edges;
-    const std::uint32_t parent_lp = dump.records[pi].lp;
-    if (parent_lp == r.lp) continue;
-    ++a.cross_edges;
-    const std::int64_t lat = r.fire - r.sched;
-    PairAgg& agg = pairs[{domainName(parent_lp), domainName(r.lp)}];
-    if (agg.count == 0) {
-      agg.min_lat = lat;
-      agg.max_lat = lat;
-    } else {
-      agg.min_lat = std::min(agg.min_lat, lat);
-      agg.max_lat = std::max(agg.max_lat, lat);
-    }
-    ++agg.count;
-    agg.sum_lat += lat;
-    agg.channels.emplace(parent_lp, r.lp);
-    const auto lit = la.find({domainName(parent_lp), domainName(r.lp)});
-    if (lit != la.end() && lit->second > 0) {
-      agg.lookahead = lit->second;
-      ++agg.occ[occBucket(lat, lit->second)];
-      if (lat >= lit->second) ++agg.clears;
-    }
   }
 
   a.span_ns = a.last_fire - a.first_fire;
   a.ideal_speedup = static_cast<double>(n) /
                     static_cast<double>(std::max<std::uint64_t>(
                         a.critical_len, 1));
-  a.speedup_node = static_cast<double>(n) /
-                   static_cast<double>(std::max<std::uint64_t>(
-                       a.critical_node, 1));
-  a.speedup_nic = static_cast<double>(n) /
-                  static_cast<double>(std::max<std::uint64_t>(
-                      a.critical_nic, 1));
   if (a.wall && a.wall_critical_ns > 0)
     a.wall_ideal_speedup = static_cast<double>(a.wall_total_ns) /
                            static_cast<double>(a.wall_critical_ns);
 
   for (const auto& [tag, count] : lp_counts)
     a.lps.push_back({tag, obs::CausalityRecorder::lpName(tag), count});
-  for (const auto& [tag, count] : node_counts)
-    a.node_parts.push_back({tag, obs::CausalityRecorder::lpName(tag), count});
-
-  const auto skew = [](const std::vector<LpRow>& rows, sim::LpDomain d) {
-    std::uint64_t max = 0, sum = 0, parts = 0;
-    for (const LpRow& r : rows) {
-      if (sim::lpTagDomain(r.tag) != d) continue;
-      ++parts;
-      sum += r.events;
-      max = std::max(max, r.events);
-    }
-    if (parts == 0 || sum == 0) return 0.0;
-    return static_cast<double>(max) * static_cast<double>(parts) /
-           static_cast<double>(sum);
-  };
-  a.skew_node = skew(a.node_parts, sim::LpDomain::kNode);
-  a.skew_nic = skew(a.lps, sim::LpDomain::kNic);
-
-  for (const auto& [key, agg] : pairs) {
-    DomainPair p;
-    p.from = key.first;
-    p.to = key.second;
-    p.count = agg.count;
-    p.channels = agg.channels.size();
-    p.min_latency = agg.min_lat;
-    p.max_latency = agg.max_lat;
-    p.mean_latency = agg.count == 0
-                         ? 0.0
-                         : static_cast<double>(agg.sum_lat) /
-                               static_cast<double>(agg.count);
-    p.lookahead_ns = agg.lookahead;
-    p.clears = agg.clears;
-    p.occupancy = agg.occ;
-    if (agg.lookahead > 0 && a.span_ns > 0) {
-      // CMB bound: each channel sends at most one null per lookahead window
-      // it did not cover with a real message.
-      const std::uint64_t windows =
-          static_cast<std::uint64_t>(
-              (a.span_ns + agg.lookahead - 1) / agg.lookahead);
-      const std::uint64_t budget = p.channels * windows;
-      p.null_msgs_max = budget > p.count ? budget - p.count : 0;
-      p.null_overhead_pct = pct(p.null_msgs_max, p.null_msgs_max + a.events);
-    }
-    a.pairs.push_back(std::move(p));
-  }
 
   // Recover the critical chain (root -> deepest event) via parent links.
   std::vector<std::uint64_t> chain;
@@ -558,28 +360,17 @@ Analysis analyze(const Dump& dump,
   return a;
 }
 
-std::string renderReport(const Analysis& a, const PartSummary& part) {
+std::string renderReport(const Analysis& a) {
   std::string out;
   char buf[256];
   std::snprintf(buf, sizeof(buf),
-                "gcprof: %llu events, %llu edges (%llu cross-LP), %llu "
-                "roots from a %s-mode dump\n",
+                "gcprof: %llu events, %llu edges, %llu roots from a %s-mode "
+                "dump\n",
                 static_cast<unsigned long long>(a.events),
                 static_cast<unsigned long long>(a.edges),
-                static_cast<unsigned long long>(a.cross_edges),
                 static_cast<unsigned long long>(a.roots),
                 a.wall ? "wall" : "sim");
   out += buf;
-  if (!part.schema.empty()) {
-    std::snprintf(buf, sizeof(buf),
-                  "partition map: %s (%lld domains, %lld crossings, %lld "
-                  "waived)\n",
-                  part.schema.c_str(),
-                  static_cast<long long>(part.domains),
-                  static_cast<long long>(part.crossings),
-                  static_cast<long long>(part.waived));
-    out += buf;
-  }
   std::snprintf(buf, sizeof(buf),
                 "cancelled before firing (not DAG nodes): %llu; still "
                 "pending at dump: %llu\n",
@@ -592,24 +383,12 @@ std::string renderReport(const Analysis& a, const PartSummary& part) {
                 static_cast<long long>(a.last_fire));
   out += buf;
 
-  out += "\nPDES speedup forecast:\n";
+  out += "\nCausal critical path:\n";
   util::Table fc({"metric", "value"});
   fc.addRow({"total work [events]", util::formatU64(a.events)});
   fc.addRow({"critical path [events]", util::formatU64(a.critical_len)});
   fc.addRow({"ideal speedup (infinite LPs)",
              util::formatDouble(a.ideal_speedup, 3)});
-  fc.addRow({"makespan @ per-node LPs [events]",
-             util::formatU64(a.critical_node)});
-  fc.addRow({"achievable speedup @ per-node LPs",
-             util::formatDouble(a.speedup_node, 3)});
-  fc.addRow({"makespan @ per-NIC LPs [events]",
-             util::formatU64(a.critical_nic)});
-  fc.addRow({"achievable speedup @ per-NIC LPs",
-             util::formatDouble(a.speedup_nic, 3)});
-  fc.addRow({"load skew (node granularity, max/mean)",
-             util::formatDouble(a.skew_node, 3)});
-  fc.addRow({"load skew (NIC granularity, max/mean)",
-             util::formatDouble(a.skew_nic, 3)});
   if (a.wall) {
     fc.addRow({"wall work [ns]", util::formatU64(static_cast<std::uint64_t>(
                                      a.wall_total_ns))});
@@ -621,8 +400,8 @@ std::string renderReport(const Analysis& a, const PartSummary& part) {
   }
   out += fc.render();
 
-  // Per-domain load at NIC granularity.
-  out += "\nPer-domain load (NIC granularity):\n";
+  // Per-domain load.
+  out += "\nPer-domain load:\n";
   struct DomAgg {
     std::uint64_t lps = 0, events = 0, max = 0;
   };
@@ -656,43 +435,6 @@ std::string renderReport(const Analysis& a, const PartSummary& part) {
                util::formatDouble(pct(r->events, a.events), 2)});
   out += bt.render();
 
-  out += "\nCross-LP edges vs proven lookahead "
-         "(null forecast: CMB upper bound):\n";
-  util::Table et({"from", "to", "edges", "channels", "min_lat_us",
-                  "mean_lat_us", "lookahead_ns", "clears_pct", "nulls_max",
-                  "null_ovh_pct"});
-  for (const DomainPair& p : a.pairs) {
-    const bool has_la = p.lookahead_ns > 0;
-    et.addRow({p.from, p.to, util::formatU64(p.count),
-               util::formatU64(p.channels), usStr(p.min_latency),
-               util::formatDouble(p.mean_latency / 1000.0, 3),
-               has_la ? util::formatU64(static_cast<std::uint64_t>(
-                            p.lookahead_ns))
-                      : "-",
-               has_la ? util::formatDouble(pct(p.clears, p.count), 2) : "-",
-               has_la ? util::formatU64(p.null_msgs_max) : "-",
-               has_la ? util::formatDouble(p.null_overhead_pct, 2) : "-"});
-  }
-  out += et.render();
-
-  bool any_la = false;
-  for (const DomainPair& p : a.pairs) any_la |= p.lookahead_ns > 0;
-  if (any_la) {
-    out += "\nLookahead occupancy (edge latency / proven lookahead):\n";
-    std::vector<std::string> head = {"pair"};
-    for (std::size_t i = 0; i < kOccBuckets; ++i)
-      head.emplace_back(occBucketLabel(i));
-    util::Table ot(head);
-    for (const DomainPair& p : a.pairs) {
-      if (p.lookahead_ns <= 0) continue;
-      std::vector<std::string> row = {p.from + "->" + p.to};
-      for (std::size_t i = 0; i < kOccBuckets; ++i)
-        row.push_back(util::formatU64(p.occupancy[i]));
-      ot.addRow(std::move(row));
-    }
-    out += ot.render();
-    out += "(<1x edges would violate the proven lookahead; 0 expected)\n";
-  }
   return out;
 }
 
@@ -705,75 +447,24 @@ bool writeCsv(const Analysis& a, const std::string& path) {
   return t.writeCsv(path);
 }
 
-namespace {
-
-void appendPairsJson(std::string& out, const Analysis& a, bool occupancy) {
-  out += "\"pairs\":[";
-  bool first = true;
-  char buf[256];
-  for (const DomainPair& p : a.pairs) {
-    std::snprintf(
-        buf, sizeof(buf),
-        "%s\n{\"from\":\"%s\",\"to\":\"%s\",\"edges\":%llu,"
-        "\"channels\":%llu,\"min_latency_ns\":%lld,\"lookahead_ns\":%lld,"
-        "\"clears\":%llu,\"null_msgs_max\":%llu,\"null_overhead_pct\":%.2f",
-        first ? "" : ",", p.from.c_str(), p.to.c_str(),
-        static_cast<unsigned long long>(p.count),
-        static_cast<unsigned long long>(p.channels),
-        static_cast<long long>(p.min_latency),
-        static_cast<long long>(p.lookahead_ns),
-        static_cast<unsigned long long>(p.clears),
-        static_cast<unsigned long long>(p.null_msgs_max),
-        p.null_overhead_pct);
-    out += buf;
-    if (occupancy) {
-      out += ",\"occupancy\":[";
-      for (std::size_t i = 0; i < kOccBuckets; ++i) {
-        std::snprintf(buf, sizeof(buf), "%s%llu", i == 0 ? "" : ",",
-                      static_cast<unsigned long long>(p.occupancy[i]));
-        out += buf;
-      }
-      out += ']';
-    }
-    out += '}';
-    first = false;
-  }
-  out += "\n]";
-}
-
-void appendSummaryJson(std::string& out, const Analysis& a) {
+std::string analysisJson(const Analysis& a) {
+  std::string out = "{\"gcprof_analysis\":\"gcprof-analysis-v1\",";
   char buf[512];
   std::snprintf(
       buf, sizeof(buf),
-      "\"mode\":\"%s\",\"events\":%llu,\"edges\":%llu,"
-      "\"cross_edges\":%llu,\"roots\":%llu,\"cancelled\":%llu,"
-      "\"pending\":%llu,\"span_ns\":%lld,\n"
+      "\"mode\":\"%s\",\"events\":%llu,\"edges\":%llu,\"roots\":%llu,"
+      "\"cancelled\":%llu,\"pending\":%llu,\"span_ns\":%lld,\n"
       "\"critical_path_events\":%llu,\"ideal_speedup\":%.3f,\n"
-      "\"makespan_node\":%llu,\"speedup_node\":%.3f,\"skew_node\":%.3f,\n"
-      "\"makespan_nic\":%llu,\"speedup_nic\":%.3f,\"skew_nic\":%.3f,\n"
       "\"lps\":%llu,",
-      a.wall ? "wall" : "sim",
-      static_cast<unsigned long long>(a.events),
+      a.wall ? "wall" : "sim", static_cast<unsigned long long>(a.events),
       static_cast<unsigned long long>(a.edges),
-      static_cast<unsigned long long>(a.cross_edges),
       static_cast<unsigned long long>(a.roots),
       static_cast<unsigned long long>(a.cancelled),
       static_cast<unsigned long long>(a.pending),
       static_cast<long long>(a.span_ns),
       static_cast<unsigned long long>(a.critical_len), a.ideal_speedup,
-      static_cast<unsigned long long>(a.critical_node), a.speedup_node,
-      a.skew_node,
-      static_cast<unsigned long long>(a.critical_nic), a.speedup_nic,
-      a.skew_nic, static_cast<unsigned long long>(a.lps.size()));
+      static_cast<unsigned long long>(a.lps.size()));
   out += buf;
-}
-
-}  // namespace
-
-std::string analysisJson(const Analysis& a) {
-  std::string out = "{\"gcprof_analysis\":\"gcprof-analysis-v1\",";
-  appendSummaryJson(out, a);
-  char buf[256];
   if (a.wall) {
     std::snprintf(buf, sizeof(buf),
                   "\"wall_total_ns\":%lld,\"wall_critical_ns\":%lld,"
@@ -794,29 +485,7 @@ std::string analysisJson(const Analysis& a) {
     out += buf;
     first = false;
   }
-  out += "\n],\n\"node_partitions\":[";
-  first = true;
-  for (const LpRow& r : a.node_parts) {
-    std::snprintf(buf, sizeof(buf),
-                  "%s\n{\"tag\":%lu,\"name\":\"%s\",\"events\":%llu}",
-                  first ? "" : ",", static_cast<unsigned long>(r.tag),
-                  r.name.c_str(),
-                  static_cast<unsigned long long>(r.events));
-    out += buf;
-    first = false;
-  }
-  out += "\n],\n";
-  appendPairsJson(out, a, /*occupancy=*/true);
-  out += "}\n";
-  return out;
-}
-
-std::string dagSummaryJson(const Analysis& a) {
-  std::string out = "{\"dag\":\"gcprof-dag-v1\",";
-  appendSummaryJson(out, a);
-  out += '\n';
-  appendPairsJson(out, a, /*occupancy=*/false);
-  out += "}\n";
+  out += "\n]}\n";
   return out;
 }
 

@@ -1,22 +1,11 @@
 // gcprof analyzer: rebuild the event-causality DAG from a CausalityRecorder
-// dump and forecast how the simulation would behave as a parallel
-// discrete-event simulation (PDES).
-//
-// Inputs:
-//   - the gcprof-v1 dump (src/obs/gcprof.cpp writes it),
-//   - the gcflow lookahead map (gcflow_lookahead.json: the minimum proven
-//     delta-t per cross-domain schedule edge),
-//   - the gcpart partition report (gcpart_report.json: the domain taxonomy
-//     the LP tags mirror) — header context only.
-//
-// Outputs: the ideal speedup (total work / sim-time-weighted critical path),
-// achievable speedup at per-node and per-NIC LP granularity, per-LP load
-// balance, cross-LP edge rates, and a lookahead-occupancy histogram that
-// forecasts conservative-sync null-message overhead.  See DESIGN.md §16 for
-// the exact definitions and the determinism contract.
+// dump (the gcprof-v1 format src/obs/gcprof.cpp writes) and report its
+// shape: total work, the critical path and the ideal speedup it bounds,
+// per-LP event counts, and, for wall-cost dumps, the same DAG weighted by
+// measured handler nanoseconds.  See DESIGN.md §14 for the exact
+// definitions and the determinism contract.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -46,53 +35,10 @@ struct Dump {
 Dump parseDump(const std::string& text);  // throws std::runtime_error
 Dump loadDump(const std::string& path);   // prints + exit(2) on error
 
-/// One proven cross-domain lookahead edge from gcflow_lookahead.json.
-struct LookaheadEdge {
-  std::string from, to;
-  std::int64_t min_ns = 0;
-};
-
-std::vector<LookaheadEdge> parseLookahead(const std::string& text);
-std::vector<LookaheadEdge> loadLookahead(const std::string& path);
-
-/// Header fields of gcpart_report.json (context lines in the report).
-struct PartSummary {
-  std::string schema;
-  std::int64_t domains = -1;
-  std::int64_t crossings = -1;
-  std::int64_t waived = -1;
-};
-
-PartSummary parsePart(const std::string& text);
-PartSummary loadPart(const std::string& path);
-
-/// Lookahead-occupancy buckets: latency/lookahead ratio in
-/// [<1x, 1-2x, 2-4x, 4-8x, 8-16x, 16-32x, 32-64x, >=64x].
-inline constexpr std::size_t kOccBuckets = 8;
-const char* occBucketLabel(std::size_t i);
-
 struct LpRow {
   std::uint32_t tag = 0;
   std::string name;
   std::uint64_t events = 0;
-};
-
-/// Cross-LP edges aggregated by (scheduler domain -> schedulee domain).
-struct DomainPair {
-  std::string from, to;
-  std::uint64_t count = 0;     ///< cross-LP edges with this domain pair
-  std::uint64_t channels = 0;  ///< distinct (src LP, dst LP) tag pairs
-  std::int64_t min_latency = 0;
-  std::int64_t max_latency = 0;
-  double mean_latency = 0.0;
-  /// Proven minimum lookahead for this pair (-1: gcflow proves none).
-  std::int64_t lookahead_ns = -1;
-  std::uint64_t clears = 0;  ///< edges whose latency >= lookahead_ns
-  /// Conservative null-message bound: one null per channel per lookahead
-  /// window that carried no real message.
-  std::uint64_t null_msgs_max = 0;
-  double null_overhead_pct = 0.0;  ///< nulls / (nulls + total events)
-  std::array<std::uint64_t, kOccBuckets> occupancy{};
 };
 
 struct Analysis {
@@ -100,7 +46,6 @@ struct Analysis {
   std::uint64_t events = 0;
   std::uint64_t edges = 0;        ///< records with a recorded parent
   std::uint64_t roots = 0;
-  std::uint64_t cross_edges = 0;  ///< edges crossing LPs (nic granularity)
   std::uint64_t cancelled = 0;
   std::uint64_t pending = 0;
   std::int64_t first_fire = 0;
@@ -111,22 +56,7 @@ struct Analysis {
   std::uint64_t critical_len = 0;
   double ideal_speedup = 0.0;  ///< events / critical_len
 
-  /// Makespan (events) of the list schedule at each LP granularity:
-  /// an event runs after its parent and after the previous event on its
-  /// partition.  node granularity merges nic.i into node.i.
-  std::uint64_t critical_node = 0;
-  std::uint64_t critical_nic = 0;
-  double speedup_node = 0.0;
-  double speedup_nic = 0.0;
-
-  /// Load-balance skew = max/mean event count across the compute
-  /// partitions of that granularity (node.* merged, resp. nic.* alone).
-  double skew_node = 0.0;
-  double skew_nic = 0.0;
-
-  std::vector<LpRow> lps;         ///< per LP tag (nic granularity), tag order
-  std::vector<LpRow> node_parts;  ///< node-granularity partitions, tag order
-  std::vector<DomainPair> pairs;  ///< cross-LP domain pairs, (from,to) order
+  std::vector<LpRow> lps;                   ///< per LP tag, tag order
   std::vector<std::uint64_t> critical_ids;  ///< critical path, root -> leaf
 
   // Wall-cost mode only: work weighted by measured handler nanoseconds.
@@ -135,22 +65,18 @@ struct Analysis {
   double wall_ideal_speedup = 0.0;
 };
 
-Analysis analyze(const Dump& dump,
-                 const std::vector<LookaheadEdge>& lookahead);
+Analysis analyze(const Dump& dump);
 
-/// Human-readable forecast (tables); `part` fills the header context line.
-std::string renderReport(const Analysis& a, const PartSummary& part);
+/// Human-readable report (tables).
+std::string renderReport(const Analysis& a);
 
-/// Per-LP CSV: tag,name,domain,events,share_pct (nic granularity).
+/// Per-LP CSV: tag,name,domain,events,share_pct.
 bool writeCsv(const Analysis& a, const std::string& path);
 
-/// Full machine-readable analysis (all tables, fixed-precision numbers).
+/// Full machine-readable analysis (fixed-precision numbers).  For a
+/// sim-mode dump it is byte-identical across reruns and job counts of the
+/// same simulated run.
 std::string analysisJson(const Analysis& a);
-
-/// The determinism-gated subset CI pins: DAG shape + speedups + forecast,
-/// nothing wall-clock-derived.  Byte-identical across reruns and job counts
-/// for the same simulated run.
-std::string dagSummaryJson(const Analysis& a);
 
 /// Chrome trace-event export: one slice per event on its LP's track, with
 /// the critical path overlaid as a flow-event chain.

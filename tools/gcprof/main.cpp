@@ -1,28 +1,25 @@
-// gcprof CLI: turn a causality dump into a PDES speedup forecast.
+// gcprof CLI: turn a causality dump into the event-causality view —
+// total work, critical path and ideal speedup, per-LP event counts, and a
+// Chrome trace with the critical path drawn as a flow chain.
 //
-//   gcprof --dump gcprof_dump.json
-//          [--lookahead gcflow_lookahead.json] [--part gcpart_report.json]
-//          [--csv lp.csv] [--json analysis.json] [--dag-json dag.json]
+//   gcprof --dump gcprof_dump.json [--csv lp.csv] [--json analysis.json]
 //          [--chrome trace.json] [--quiet]
 //
-// With no output flags it prints the forecast tables.  All sim-mode outputs
-// are byte-identical across reruns of the same simulated run (DESIGN.md §16).
+// With no output flags it prints the report tables.  All sim-mode outputs
+// are byte-identical across reruns of the same simulated run (DESIGN.md §14).
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include "analyze.hpp"
 
 namespace {
 
 int usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s --dump FILE [--lookahead FILE] [--part FILE]\n"
-      "          [--csv FILE] [--json FILE] [--dag-json FILE]\n"
-      "          [--chrome FILE] [--quiet]\n",
-      argv0);
+  std::fprintf(stderr,
+               "usage: %s --dump FILE [--csv FILE] [--json FILE]\n"
+               "          [--chrome FILE] [--quiet]\n",
+               argv0);
   return 2;
 }
 
@@ -31,8 +28,7 @@ int usage(const char* argv0) {
 int main(int argc, char** argv) {
   using namespace gangcomm::gcprof_tool;
 
-  std::string dump_path, lookahead_path, part_path;
-  std::string csv_path, json_path, dag_path, chrome_path;
+  std::string dump_path, csv_path, json_path, chrome_path;
   bool quiet = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -45,14 +41,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);
       dump_path = v;
-    } else if (std::strcmp(arg, "--lookahead") == 0) {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      lookahead_path = v;
-    } else if (std::strcmp(arg, "--part") == 0) {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      part_path = v;
     } else if (std::strcmp(arg, "--csv") == 0) {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);
@@ -61,10 +49,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);
       json_path = v;
-    } else if (std::strcmp(arg, "--dag-json") == 0) {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      dag_path = v;
     } else if (std::strcmp(arg, "--chrome") == 0) {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);
@@ -79,14 +63,9 @@ int main(int argc, char** argv) {
   if (dump_path.empty()) return usage(argv[0]);
 
   const Dump dump = loadDump(dump_path);
-  std::vector<LookaheadEdge> lookahead;
-  if (!lookahead_path.empty()) lookahead = loadLookahead(lookahead_path);
-  PartSummary part;
-  if (!part_path.empty()) part = loadPart(part_path);
+  const Analysis a = analyze(dump);
 
-  const Analysis a = analyze(dump, lookahead);
-
-  if (!quiet) std::fputs(renderReport(a, part).c_str(), stdout);
+  if (!quiet) std::fputs(renderReport(a).c_str(), stdout);
   bool ok = true;
   if (!csv_path.empty() && !writeCsv(a, csv_path)) {
     std::fprintf(stderr, "gcprof: cannot write %s\n", csv_path.c_str());
@@ -94,10 +73,6 @@ int main(int argc, char** argv) {
   }
   if (!json_path.empty() && !writeTextFile(analysisJson(a), json_path)) {
     std::fprintf(stderr, "gcprof: cannot write %s\n", json_path.c_str());
-    ok = false;
-  }
-  if (!dag_path.empty() && !writeTextFile(dagSummaryJson(a), dag_path)) {
-    std::fprintf(stderr, "gcprof: cannot write %s\n", dag_path.c_str());
     ok = false;
   }
   if (!chrome_path.empty() && !writeChromeTrace(dump, a, chrome_path)) {
