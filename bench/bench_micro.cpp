@@ -221,8 +221,8 @@ BENCHMARK(BM_EndToEndPacket);
 void BM_EndToEndPacketTraced(benchmark::State& state) {
   // The identical exchange with a gctrace PacketTracer installed in every
   // subsystem.  BM_EndToEndPacket (above, tracing off) is the null-path
-  // control: its cost must be unchanged within noise, since a disabled
-  // tracer is a single untaken pointer test per stamping site.
+  // control: its cost must be unchanged within noise, since an absent
+  // probe is a single untaken pointer test per hook site.
   sim::Simulator s;
   net::Fabric fabric(s, net::RoutingTable::singleSwitch(2));
   net::Nic a(s, fabric, 0, net::NicConfig{});
@@ -235,11 +235,11 @@ void BM_EndToEndPacketTraced(benchmark::State& state) {
   fm::FmLib sender(s, cpu0, a, fm::FmConfig{}, pa);
   fm::FmLib receiver(s, cpu1, b, fm::FmConfig{}, pb);
   obs::PacketTracer tracer;
-  fabric.setPacketTracer(&tracer);
-  a.setPacketTracer(&tracer);
-  b.setPacketTracer(&tracer);
-  sender.setPacketTracer(&tracer);
-  receiver.setPacketTracer(&tracer);
+  fabric.setProbe(&tracer);
+  a.setProbe(&tracer);
+  b.setProbe(&tracer);
+  sender.setProbe(&tracer);
+  receiver.setProbe(&tracer);
   std::uint64_t got = 0;
   receiver.setHandler(1, [&got](const net::Packet&) { ++got; });
   for (auto _ : state) {

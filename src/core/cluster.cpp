@@ -1,5 +1,6 @@
 #include "core/cluster.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -21,15 +22,15 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg), mem_(cfg.mem) {
   sim_.setTieSalt(cfg_.tie_salt);
   sim_.setQueueKind(cfg_.event_queue);
 
-  // A non-empty trace_path implies tracing.  The recorder exists either way;
-  // subsystem hooks check enabled() and are zero-cost when it is off.
+  // A non-empty trace_path implies tracing.  The recorder exists either way
+  // (harnesses query it); its probe consumer is installed only while tracing.
   trace_.setEnabled(cfg_.trace || !cfg_.trace_path.empty());
 
   // gctrace: the packet tracer exists when either lifecycle tracing or the
-  // flight recorder is requested.  Subsystem hooks carry a nullable pointer
-  // and test it once per stamp, so a null tracer costs nothing.
+  // flight recorder is requested.
   if (cfg_.packet_trace || cfg_.flight_recorder_depth > 0) {
-    ptracer_ = std::make_unique<obs::PacketTracer>(&trace_);
+    ptracer_ = std::make_unique<obs::PacketTracer>(
+        trace_.enabled() ? &trace_ : nullptr);
     if (cfg_.flight_recorder_depth > 0)
       ptracer_->enableFlightRecorder(cfg_.flight_recorder_depth);
   }
@@ -43,10 +44,6 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg), mem_(cfg.mem) {
     ccfg.wall_cost = cfg_.causality_wall_cost;
     causality_ = std::make_unique<obs::CausalityRecorder>(std::move(ccfg));
     sim_.setCausalitySink(causality_.get());
-    // Batched delivery hands data packets to the NIC synchronously (zero
-    // events), which would hide the link->nic edges of the DAG; profile the
-    // unbatched event shape.
-    cfg_.fabric.batch_delivery = false;
   }
 
   if (cfg_.verify) {
@@ -57,6 +54,14 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg), mem_(cfg.mem) {
     if (ptracer_ && ptracer_->flight())
       verifier_->setAbortHook([this] { dumpFlightRecorder(); });
   }
+
+  // One probe per component: null, the only consumer, or a fan-out in this
+  // fixed order.  Trace goes first so FM's credit:debit record precedes the
+  // packet tracer's flow start.
+  if (trace_.enabled()) fanout_.add(&trace_probe_);
+  if (ptracer_) fanout_.add(ptracer_.get());
+  if (verifier_) fanout_.add(verifier_.get());
+  probe_ = fanout_.seam();
 
   if (cfg_.share_discard_mode &&
       cfg_.flush_protocol == glue::FlushProtocol::kBroadcast)
@@ -88,16 +93,14 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg), mem_(cfg.mem) {
   // side is sensitive to *when* the handoff happens — NIC-level acks,
   // retransmission timers, and the discard-wrong-job check against the
   // currently-loaded context — must see arrivals at their exact times.
-  // Faults, tracing, and verification are handled by the fabric's own
-  // runtime guard.
+  // Faults are handled by the fabric's own runtime guard; observers never
+  // affect batching.
   if (cfg_.fm.enable_retransmit || cfg_.nic.nic_level_acks || no_flush)
     cfg_.fabric.batch_delivery = false;
 
   fabric_ = std::make_unique<net::Fabric>(
       sim_, net::RoutingTable::singleSwitch(cfg_.nodes), cfg_.fabric);
-  fabric_->setTrace(&trace_);
-  fabric_->setPacketTracer(ptracer_.get());
-  fabric_->setVerify(verifier_.get());
+  fabric_->setProbe(probe_);
   if (lossy_fabric) {
     fabric_->setFaultSeed(cfg_.fault_seed != 0 ? cfg_.fault_seed : cfg_.seed);
     if (cfg_.link_faults.any()) fabric_->setAllLinkFaults(cfg_.link_faults);
@@ -115,9 +118,7 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg), mem_(cfg.mem) {
     nodes_.emplace_back();
     Node& node = nodes_.back();
     node.nic = std::make_unique<net::Nic>(sim_, *fabric_, n, cfg_.nic);
-    node.nic->setTrace(&trace_);
-    node.nic->setPacketTracer(ptracer_.get());
-    node.nic->setVerify(verifier_.get());
+    node.nic->setProbe(probe_);
     if (verifier_) verifier_->attachNic(node.nic.get());
     if (cfg_.flush_protocol != glue::FlushProtocol::kBroadcast)
       node.nic->setDiscardWrongJob(true);
@@ -133,16 +134,14 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg), mem_(cfg.mem) {
     cc.flush = cfg_.flush_protocol;
     node.comm = std::make_unique<glue::CommNode>(sim_, node.cpu, mem_,
                                                  *node.nic, cc);
-    node.comm->setTrace(&trace_);
-    node.comm->setPacketTracer(ptracer_.get());
-    node.comm->setVerify(verifier_.get());
+    node.comm->setProbe(probe_);
     GC_CHECK(util::ok(node.comm->COMM_init_node()));
 
     parpar::NodeDaemonConfig nc;
     nc.master_addr = master_addr;
     node.noded = std::make_unique<parpar::NodeDaemon>(
         sim_, node.cpu, *ctrl_, n, *node.comm, nc);
-    node.noded->setTrace(&trace_);
+    node.noded->setProbe(probe_);
     node.noded->setSpawnFn(
         [this, n](net::JobId job, int rank,
                   const std::vector<net::NodeId>& rank_to_node)
@@ -237,9 +236,7 @@ std::unique_ptr<app::Process> Cluster::spawnProcess(
   params.credits_c0 = node.comm->creditsC0();
   auto fmlib = std::make_unique<fm::FmLib>(sim_, node.cpu, *node.nic,
                                            cfg_.fm, std::move(params));
-  fmlib->setTrace(&trace_);
-  fmlib->setPacketTracer(ptracer_.get());
-  fmlib->setVerify(verifier_.get());
+  fmlib->setProbe(probe_);
   // The FmLib is owned by the process (alive until cluster teardown); keep a
   // raw pointer so collectMetrics can reach it.
   fm_libs_.push_back(fmlib.get());
@@ -257,7 +254,14 @@ std::unique_ptr<app::Process> Cluster::spawnProcess(
   proc->on_finish = [noded = node.noded.get(), job] {
     noded->onProcessExit(job);
   };
-  job_procs_[job].push_back(proc.get());
+  // Keep the job's list in rank order: spawns arrive in whatever order the
+  // control network delivers them.
+  std::vector<app::Process*>& procs = job_procs_[job];
+  procs.insert(std::upper_bound(procs.begin(), procs.end(), rank,
+                                [](int r, const app::Process* p) {
+                                  return r < p->rank();
+                                }),
+               proc.get());
   return proc;
 }
 

@@ -42,6 +42,7 @@
 #include "obs/gcprof.hpp"
 #include "obs/gctrace.hpp"
 #include "obs/metrics.hpp"
+#include "obs/probe.hpp"
 #include "obs/trace.hpp"
 #include "parpar/control_network.hpp"
 #include "parpar/master_daemon.hpp"
@@ -95,8 +96,8 @@ struct ClusterConfig {
   /// flush_protocol = kLocalOnly.
   bool share_discard_mode = false;
   /// Observability: record structured trace events in every subsystem.
-  /// Tracing never schedules events or charges simulated time, so enabling
-  /// it cannot change simulation results.
+  /// Like every observer below it is an obs::Probe consumer, so enabling it
+  /// cannot change simulation results, event count included.
   bool trace = false;
   /// When non-empty, implies `trace` and writes a Chrome trace-event JSON
   /// file (chrome://tracing / Perfetto) here on Cluster destruction.
@@ -105,7 +106,7 @@ struct ClusterConfig {
   /// at each stage (COMM_send -> credit grant -> NIC queue -> wire ->
   /// receive queue -> dispatch, plus switch-stall time) and aggregated into
   /// a LatencyAttribution; with `trace` also on, packets emit Chrome flow
-  /// events.  Observer-only, like `trace`: results are identical either way.
+  /// events.  A probe consumer, like `trace`.
   bool packet_trace = false;
   /// gctrace flight recorder: keep the last N packet/protocol events in a
   /// bounded ring (0 disables).  O(1) memory however long the run; dumped
@@ -119,10 +120,10 @@ struct ClusterConfig {
   /// sim::CausalitySink).  Every fired event yields (id, parent id, sched
   /// time, fire time, LP tag); tools/gcprof turns the dump into the causal
   /// critical path and per-LP load.  Sim-time records never perturb
-  /// simulation results, but enabling the hook disables delivery batching
-  /// (batched handoffs are synchronous and would hide the link->nic DAG
-  /// edges), so event counts differ from a batched run — compare like with
-  /// like.
+  /// simulation results.  Under delivery batching a data packet handed to
+  /// its NIC early has no delivery event of its own, so its receive work
+  /// appears as a child of the inject (or ring-drain) event; set
+  /// fabric.batch_delivery = false to profile per-packet link->nic edges.
   bool causality_trace = false;
   /// Where the causality dump spills (see obs::CausalityConfig).  Empty
   /// keeps all records in memory for causalityRecorder()->records().
@@ -135,8 +136,7 @@ struct ClusterConfig {
   /// Dynamic verification (gcverify): run an InvariantEngine as the
   /// simulator's event observer, checking credit conservation, buffer
   /// ownership, packet conservation, and switch-protocol order after every
-  /// event.  Like tracing, the engine only observes — it never schedules
-  /// events or charges simulated time — so results are identical either way.
+  /// event.  A probe consumer, like `trace`.
   bool verify = GANGCOMM_VERIFY_DEFAULT != 0;
   /// Same-timestamp event permutation salt (sim::Simulator::setTieSalt),
   /// installed before any event is scheduled.  0 = natural FIFO tiebreak.
@@ -239,8 +239,8 @@ class Cluster {
   /// Pull a snapshot of every subsystem's counters/gauges into `reg`.
   void collectMetrics(obs::MetricsRegistry& reg) const;
 
-  /// Live process pointers for a job (owned by the nodeds; valid while the
-  /// cluster exists).
+  /// Live process pointers for a job in rank order: index == rank once all
+  /// ranks spawned (owned by the nodeds; valid while the cluster exists).
   std::vector<app::Process*> processes(net::JobId job) const;
 
   /// Count of jobs that have fully exited.
@@ -261,9 +261,12 @@ class Cluster {
   ClusterConfig cfg_;
   sim::Simulator sim_;
   obs::TraceRecorder trace_;
+  obs::TraceProbe trace_probe_{trace_};
   std::unique_ptr<obs::PacketTracer> ptracer_;
   std::unique_ptr<obs::CausalityRecorder> causality_;
   std::unique_ptr<verify::InvariantEngine> verifier_;
+  obs::Probe fanout_;            // over the consumers, in fixed order
+  obs::Probe* probe_ = nullptr;  // what every component reports to
   host::MemoryModel mem_;
   std::unique_ptr<net::Fabric> fabric_;
   std::unique_ptr<parpar::ControlNetwork> ctrl_;

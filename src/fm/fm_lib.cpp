@@ -2,12 +2,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <utility>
 
-#include "obs/gctrace.hpp"
 #include "sim/log.hpp"
 #include "util/check.hpp"
 
@@ -140,24 +137,15 @@ Status FmLib::send(int dst_rank, std::uint16_t handler,
         ++stats_.send_blocks_on_queue;
       else
         ++stats_.send_blocks_on_credit;
-      if (obs::tracing(trace_))
-        trace_->instant(nic_.node(), "fm",
-                        have_credit ? "block:queue" : "block:credit",
-                        sim_.now(),
-                        {{"dst_rank", dst_rank},
-                         {"frag", static_cast<std::int64_t>(
-                                      pending_.next_frag)}});
+      if (probe_)
+        probe_->onSendBlocked(nic_.node(), dst_rank, pending_.next_frag,
+                              !have_credit, sim_.now());
       return Status::kWouldBlock;
     }
     const bool last = pending_.next_frag + 1 == pending_.total_frags;
     const std::uint32_t payload =
         pending_.bytes_left < net::kMaxPayloadBytes ? pending_.bytes_left
                                                     : net::kMaxPayloadBytes;
-    if (obs::tracing(trace_))
-      trace_->instant(nic_.node(), "fm", "credit:debit", sim_.now(),
-                      {{"dst_rank", dst_rank},
-                       {"remaining",
-                        s.send_credits[static_cast<std::size_t>(dst_rank)]}});
     queueFragment(dst_rank, handler, payload, last);
     pending_.frag_start_valid = false;
     pending_.bytes_left -= payload;
@@ -189,18 +177,14 @@ void FmLib::queueFragment(int dst_rank, std::uint16_t handler,
   p.seq = ++next_seq_to_[static_cast<std::size_t>(dst_rank)];
   p.tag = Packet::makeTag(p.job, p.src_rank, p.dst_rank, p.msg_id,
                           p.frag_index);
-  if (obs::ptracing(ptrace_)) {
-    // Mint the lifecycle id here — the one place every data packet passes —
-    // with the credit grant happening now and the fragment's first send()
-    // attempt as the journey origin.
-    p.trace_id = ptrace_->onSend(p.src_node, p.dst_node, p.job, p.src_rank,
-                                 p.dst_rank, p.seq, p.payload_bytes,
-                                 pending_.frag_start, sim_.now());
-  }
   // The caller (send) debited one credit for this fresh fragment;
-  // retransmissions bypass queueFragment and spend nothing.
-  if (verify::active(verify_))
-    verify_->onCreditDebit(params_.job, params_.rank, dst_rank, p.seq);
+  // retransmissions bypass queueFragment and spend nothing.  A packet
+  // tracer mints the lifecycle id here — the one place every data packet
+  // passes — with the fragment's first send() attempt as journey origin.
+  if (probe_)
+    p.trace_id = probe_->onSend(
+        p, slot().send_credits[static_cast<std::size_t>(dst_rank)],
+        pending_.frag_start, sim_.now());
 
   // Cumulative ack rides on every packet (harmless without the
   // retransmission layer: receivers merge it by max).
@@ -216,10 +200,8 @@ void FmLib::queueFragment(int dst_rank, std::uint16_t handler,
     if (owed > 0) {
       p.refill_credits = owed;
       stats_.refill_credits_piggybacked += owed;
-      // The piggybacked credits belong to the reverse pair: dst_rank sent us
-      // data, we owe the refill.
-      if (verify::active(verify_))
-        verify_->onRefillQueued(params_.job, dst_rank, params_.rank, owed);
+      if (probe_)
+        probe_->onPacket(obs::PacketEvent::kRefillQueued, p, sim_.now());
       owed = 0;
     }
   }
@@ -261,9 +243,9 @@ int FmLib::extract(int max_packets) {
       cpu_.acquire(sim_.now(), cfg_.extract_per_packet_ns);
       ++n;
       ++stats_.checksum_dropped;
-      if (verify::active(verify_)) verify_->onFmShed(nic_.node(), p);
-      if (obs::ptracing(ptrace_) && p.trace_id != 0)
-        ptrace_->onDrop(p.trace_id, nic_.node(), "drop:checksum", sim_.now());
+      if (probe_)
+        probe_->onDrop(obs::DropSite::kFmChecksum, p, "drop:checksum",
+                       sim_.now());
       continue;
     }
     GC_CHECK_MSG(p.job == params_.job, "packet for another job in our queue");
@@ -282,15 +264,15 @@ int FmLib::extract(int max_packets) {
       auto& expected = expected_from_[src];
       if (p.seq < expected) {
         ++stats_.dup_dropped;
-        if (obs::ptracing(ptrace_) && p.trace_id != 0)
-          ptrace_->onDrop(p.trace_id, nic_.node(), "drop:dup", sim_.now());
+        if (probe_)
+          probe_->onDrop(obs::DropSite::kFmWindow, p, "drop:dup", sim_.now());
         continue;
       }
       if (p.seq > expected) {
         // Go-back-N: shed and wait for the sender's timeout sweep.
         ++stats_.ooo_dropped;
-        if (obs::ptracing(ptrace_) && p.trace_id != 0)
-          ptrace_->onDrop(p.trace_id, nic_.node(), "drop:ooo", sim_.now());
+        if (probe_)
+          probe_->onDrop(obs::DropSite::kFmWindow, p, "drop:ooo", sim_.now());
         continue;
       }
       ++expected;
@@ -299,8 +281,7 @@ int FmLib::extract(int max_packets) {
     ++stats_.packets_received;
     stats_.payload_bytes_received += p.payload_bytes;
     if (p.last_frag) ++stats_.messages_received;
-    if (verify::active(verify_))
-      verify_->onPacketAccepted(params_.job, p.src_rank, params_.rank, p.seq);
+    if (probe_) probe_->onPacket(obs::PacketEvent::kAccepted, p, sim_.now());
 
     // A credit is owed only for delivered packets; shed duplicates above
     // never spent a fresh credit (retransmissions are free of credits).
@@ -309,8 +290,7 @@ int FmLib::extract(int max_packets) {
 
     GC_CHECK_MSG(p.handler < handlers_.size() && handlers_[p.handler],
                  "packet for an unregistered handler");
-    if (obs::ptracing(ptrace_) && p.trace_id != 0)
-      ptrace_->onDispatch(p.trace_id, sim_.now());
+    if (probe_) probe_->onPacket(obs::PacketEvent::kDispatched, p, sim_.now());
     handlers_[p.handler](p);
   }
   return n;
@@ -329,8 +309,6 @@ void FmLib::maybeSendRefill(int src_rank) {
   r.dst_rank = src_rank;
   r.refill_credits = owed;
   r.ack_seq = expected_from_[static_cast<std::size_t>(src_rank)] - 1;
-  if (verify::active(verify_))
-    verify_->onRefillQueued(params_.job, src_rank, params_.rank, owed);
   owed = 0;
 
   const sim::SimTime done = cpu_.acquire(sim_.now(), cfg_.refill_send_ns);
@@ -338,11 +316,7 @@ void FmLib::maybeSendRefill(int src_rank) {
   sim::LpScope lp(sim_, lpNic());
   sim_.scheduleAt(done, [nic, r] { nic->hostEnqueueControl(r); });
   ++stats_.refills_sent;
-  if (obs::tracing(trace_))
-    trace_->instant(nic_.node(), "fm", "credit:refill_tx", sim_.now(),
-                    {{"dst_rank", src_rank},
-                     {"credits",
-                      static_cast<std::int64_t>(r.refill_credits)}});
+  if (probe_) probe_->onPacket(obs::PacketEvent::kRefillQueued, r, sim_.now());
 }
 
 void FmLib::onSendable(util::SboFunction<void()> cb) {
@@ -433,22 +407,9 @@ void FmLib::onRtxTimeout(int peer) {
   purgeAcked(peer);
   if (unacked_[idx].empty()) return;
   ++stats_.rtx_timeouts;
-  if (obs::tracing(trace_))
-    trace_->instant(nic_.node(), "fm", "rtx:timeout", sim_.now(),
-                    {{"peer", peer},
-                     {"window",
-                      static_cast<std::int64_t>(unacked_[idx].size())},
-                     {"backoff", rtx_backoff_[idx]}});
-  if (std::getenv("GANGCOMM_RTXDBG") != nullptr) {
-    std::fprintf(stderr,
-                 "[rtx] t=%.3fms job=%d rank=%d peer=%d head=%llu win=%zu "
-                 "acked=%llu backoff=%d\n",
-                 sim::nsToMs(sim_.now()), params_.job, params_.rank, peer,
-                 static_cast<unsigned long long>(unacked_[idx].front().seq),
-                 unacked_[idx].size(),
-                 static_cast<unsigned long long>(slot().acked_seq_from[idx]),
-                 rtx_backoff_[idx]);
-  }
+  if (probe_)
+    probe_->onRtxTimeout(nic_.node(), peer, unacked_[idx].size(),
+                         rtx_backoff_[idx], sim_.now());
   // Track progress between timeouts: repeated timeouts with the same head
   // seq degrade to stop-and-wait, which breaks pathological loss patterns
   // that keep hitting the same position of a fixed-size sweep.

@@ -27,15 +27,10 @@
 #include "host/cpu_model.hpp"
 #include "net/nic.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/probe.hpp"
 #include "sim/simulator.hpp"
 #include "util/sbo_function.hpp"
 #include "util/status.hpp"
-#include "verify/sink.hpp"
-
-namespace gangcomm::obs {
-class PacketTracer;
-}
 
 namespace gangcomm::fm {
 
@@ -137,18 +132,11 @@ class FmLib {
   /// Number of packets a message of `bytes` fragments into (>= 1).
   static std::uint32_t packetsForMessage(std::uint32_t bytes);
 
-  /// Observability hooks (gc_obs); zero-cost when the recorder is null or
-  /// disabled.  Trace events cover credit debits/refills and send blocks.
-  void setTrace(obs::TraceRecorder* t) { trace_ = t; }
+  /// Observer seam (may be null): credit debits (the probe may mint a
+  /// packet-trace id), send blocks, refills, accepts, dispatches, sheds, and
+  /// retransmit timeouts.  The probe only observes.
+  void setProbe(obs::Probe* p) { probe_ = p; }
   void publishMetrics(obs::MetricsRegistry& reg) const;
-
-  /// gctrace hook (may be null).  When set, send() mints a per-packet trace
-  /// id and extract() stamps handler dispatch; see obs/gctrace.hpp.
-  void setPacketTracer(obs::PacketTracer* p) { ptrace_ = p; }
-
-  /// Verification hooks (gcverify; may be null).  Reports credit debits,
-  /// accepted packets, and queued refills to the invariant engine.
-  void setVerify(verify::VerifySink* v) { verify_ = v; }
 
  private:
   net::ContextSlot& slot();
@@ -215,9 +203,7 @@ class FmLib {
   std::vector<int> rtx_backoff_;                   // timeout multiplier (1..8)
   util::SboFunction<void()> on_drained_;           // FM_finalize drain wait
   bool suspended_ = false;
-  obs::TraceRecorder* trace_ = nullptr;
-  obs::PacketTracer* ptrace_ = nullptr;
-  verify::VerifySink* verify_ = nullptr;
+  obs::Probe* probe_ = nullptr;
   FmStats stats_;
 };
 

@@ -1,5 +1,5 @@
-// The copy loops here walk every queued packet once per switch and carry
-// gctrace stamping sites; opt into the hot-path allocation rules:
+// The copy loops here walk every queued packet once per switch; opt into
+// the hot-path allocation rules:
 // gclint: hot
 #include "glue/buffer_switcher.hpp"
 
@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <utility>
 
-#include "obs/gctrace.hpp"
 #include "util/check.hpp"
 
 namespace gangcomm::glue {
@@ -51,14 +50,6 @@ CopyOutcome BufferSwitcher::copyOut(net::ContextSlot& live,
   saved.job_size = static_cast<int>(live.send_credits.size());
   saved.sendq = live.sendq.drain();
   saved.recvq = live.recvq.drain();
-  if (obs::ptracing(ptrace_)) {
-    // Runs once per switch over the drained snapshot (not per hot-path
-    // packet): every traced packet parked here rides the switch.
-    for (const auto& p : saved.sendq)
-      if (p.trace_id != 0) ptrace_->onSwitchCarried(p.trace_id);
-    for (const auto& p : saved.recvq)
-      if (p.trace_id != 0) ptrace_->onSwitchCarried(p.trace_id);
-  }
   saved.credits = live.send_credits;
   saved.acked_seq_from = live.acked_seq_from;
   saved.sent_hwm = live.sent_hwm;

@@ -19,10 +19,6 @@
 #include "net/nic.hpp"
 #include "sim/time.hpp"
 
-namespace gangcomm::obs {
-class PacketTracer;
-}
-
 namespace gangcomm::glue {
 
 struct SwitcherConfig {
@@ -54,15 +50,9 @@ class BufferSwitcher {
   CopyOutcome copyIn(SavedContext& saved, net::ContextSlot& live,
                      BufferPolicy policy) const;
 
-  /// gctrace hook (may be null): copyOut marks every traced packet it
-  /// carries into the backing store, attributing buffer-switch crossings to
-  /// individual packet journeys.
-  void setPacketTracer(obs::PacketTracer* p) { ptrace_ = p; }
-
  private:
   const host::MemoryModel& mem_;
   SwitcherConfig cfg_;
-  obs::PacketTracer* ptrace_ = nullptr;
 };
 
 }  // namespace gangcomm::glue

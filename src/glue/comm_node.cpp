@@ -8,7 +8,6 @@
 #include <string>
 #include <utility>
 
-#include "obs/gctrace.hpp"
 #include "sim/log.hpp"
 #include "util/check.hpp"
 
@@ -110,8 +109,8 @@ Status CommNode::COMM_init_job(net::JobId job, int rank, int job_size,
   }
   job_size_[job] = job_size;
   cpu_.acquire(sim_.now(), cfg_.init_job_cost_ns);
-  if (verify::active(verify_))
-    verify_->onJobCredits(job, rank, job_size, c0_, cfg_.fm.enable_retransmit);
+  if (probe_)
+    probe_->onJobCredits(job, rank, job_size, c0_, cfg_.fm.enable_retransmit);
 
   if (env != nullptr) {
     // The variables FM_initialize reads instead of contacting the GRM/CM.
@@ -129,7 +128,7 @@ Status CommNode::COMM_end_job(net::JobId job) {
   if (!job_size_.contains(job)) return Status::kNotFound;
   job_size_.erase(job);
   cpu_.acquire(sim_.now(), cfg_.end_job_cost_ns);
-  if (verify::active(verify_)) verify_->onJobEnd(job);
+  if (probe_) probe_->onJobEnd(job);
   if (isSwitched(cfg_.policy)) {
     if (live_job_ == job) {
       net::ContextSlot* slot = nic_.context(kLiveCtx);
@@ -186,19 +185,20 @@ void CommNode::COMM_context_switch(
   sim::Duration in_cost = 0;
   const net::JobId from_job = live_job_;
 
-  // The switcher owns the NIC buffers for the whole copy-out/copy-in span;
-  // the NIC must not DMA into them until ownership returns.
-  if (verify::active(verify_)) {
-    verify_->onSwitchStage(nic_.node(), verify::SwitchStage::kCopyBegin);
-    verify_->onBufferAcquire(nic_.node(), verify::BufferOwner::kSwitcher);
-  }
-
   net::ContextSlot* slot =
       live_allocated_ ? nic_.context(kLiveCtx) : nullptr;
 
   if (slot != nullptr && live_job_ != net::kNoJob && live_job_ != to_job) {
     auto [it, inserted] = saved_.try_emplace(live_job_);
     const CopyOutcome out = switcher_.copyOut(*slot, it->second, cfg_.policy);
+    if (probe_) {
+      // Once per switch over the drained snapshot (not per hot-path
+      // packet): every packet parked here rides the switch.
+      for (const net::Packet& p : it->second.sendq)
+        probe_->onPacket(obs::PacketEvent::kCarried, p, sim_.now());
+      for (const net::Packet& p : it->second.recvq)
+        probe_->onPacket(obs::PacketEvent::kCarried, p, sim_.now());
+    }
     cost += out.cost_ns;
     out_cost = out.cost_ns;
     r.valid_send_pkts = out.send_pkts;
@@ -221,38 +221,17 @@ void CommNode::COMM_context_switch(
     saved_.erase(it);
   }
 
-  if (verify::active(verify_))
-    verify_->onBufferRelease(nic_.node(), verify::BufferOwner::kSwitcher);
-
   ++switches_;
   bytes_copied_total_ += r.bytes_copied_out + r.bytes_copied_in;
   const sim::SimTime t = cpu_.acquire(sim_.now(), cost);
   // The buffer-switch host work occupies the CPU window [t - cost, t]:
-  // copy-out first, copy-in immediately after.
-  if (obs::tracing(trace_)) {
-    const net::NodeId node = nic_.node();
-    if (out_cost > 0)
-      trace_->span(node, "glue", "copy_out", t - cost, t - cost + out_cost,
-                   {{"job", from_job},
-                    {"bytes", static_cast<std::int64_t>(r.bytes_copied_out)},
-                    {"send_pkts", r.valid_send_pkts},
-                    {"recv_pkts", r.valid_recv_pkts}});
-    if (in_cost > 0)
-      trace_->span(node, "glue", "copy_in", t - in_cost, t,
-                   {{"job", to_job},
-                    {"bytes", static_cast<std::int64_t>(r.bytes_copied_in)}});
-  }
-  if (obs::ptracing(ptrace_)) {
-    // Flight-ring breadcrumbs: a post-mortem dump shows which switches were
-    // in progress around the aborting invariant.
-    if (out_cost > 0)
-      ptrace_->protocolEvent(
-          nic_.node(), "copy_out", t - cost + out_cost,
-          static_cast<std::int64_t>(r.bytes_copied_out));
-    if (in_cost > 0)
-      ptrace_->protocolEvent(nic_.node(), "copy_in", t,
-                             static_cast<std::int64_t>(r.bytes_copied_in));
-  }
+  // copy-out first, copy-in immediately after.  The switcher owns the NIC
+  // buffers for that whole span.
+  if (probe_)
+    probe_->onBufferSwitch(nic_.node(), from_job, to_job, t - cost, out_cost,
+                           in_cost,
+                           {r.valid_send_pkts, r.valid_recv_pkts,
+                            r.bytes_copied_out, r.bytes_copied_in});
   sim::LpScope lp(sim_, sim::lpTag(sim::LpDomain::kNode,
                                    static_cast<std::uint32_t>(nic_.node())));
   sim_.scheduleAt(t, [r, done = std::move(done)]() mutable { done(r); });

@@ -34,11 +34,10 @@
 #include "host/memory_model.hpp"
 #include "net/nic.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/probe.hpp"
 #include "parpar/interfaces.hpp"
 #include "sim/simulator.hpp"
 #include "util/sbo_function.hpp"
-#include "verify/sink.hpp"
 
 namespace gangcomm::glue {
 
@@ -133,21 +132,11 @@ class CommNode final : public parpar::CommManager {
   bool initialized() const { return init_done_; }
   std::size_t savedContexts() const { return saved_.size(); }
 
-  /// Observability hooks (gc_obs): copy-out/copy-in DMA spans on the "glue"
-  /// track; zero-cost when the recorder is null or disabled.
-  void setTrace(obs::TraceRecorder* t) { trace_ = t; }
+  /// Observer seam (may be null): job credit grants and teardown, each
+  /// buffer switch's copy phase, and every packet a switch carries out of
+  /// the live queues.  The probe only observes.
+  void setProbe(obs::Probe* p) { probe_ = p; }
   void publishMetrics(obs::MetricsRegistry& reg) const;
-
-  /// gctrace hook (may be null): copy-out/copy-in land in the flight ring
-  /// as protocol events, and the switcher marks carried packet journeys.
-  void setPacketTracer(obs::PacketTracer* p) {
-    ptrace_ = p;
-    switcher_.setPacketTracer(p);
-  }
-
-  /// Verification hooks (gcverify; may be null).  Reports job credit
-  /// grants, job teardown, and buffer ownership around the copy phase.
-  void setVerify(verify::VerifySink* v) { verify_ = v; }
 
  private:
   sim::Simulator& sim_;
@@ -170,9 +159,7 @@ class CommNode final : public parpar::CommManager {
   std::map<net::JobId, int> job_size_;
 
   std::vector<bool> node_active_;
-  obs::TraceRecorder* trace_ = nullptr;
-  obs::PacketTracer* ptrace_ = nullptr;
-  verify::VerifySink* verify_ = nullptr;
+  obs::Probe* probe_ = nullptr;
   std::uint64_t switches_ = 0;
   std::uint64_t bytes_copied_total_ = 0;
 };

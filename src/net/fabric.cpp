@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <utility>
 
-#include "obs/gctrace.hpp"
 #include "sim/log.hpp"
 #include "util/check.hpp"
 
@@ -128,13 +127,7 @@ void Fabric::dropPacket(const Packet& pkt, sim::SimTime at,
   GC_DEBUG(sim_, "fabric", "DROP %s pkt %d->%d seq=%llu (%s)",
            packetTypeName(pkt.type), pkt.src_node, pkt.dst_node,
            static_cast<unsigned long long>(pkt.seq), reason);
-  if (obs::tracing(trace_))
-    trace_->instant(pkt.src_node, "fabric", reason, at,
-                    {{"dst", pkt.dst_node},
-                     {"seq", static_cast<std::int64_t>(pkt.seq)}});
-  if (verify::active(verify_)) verify_->onWireDrop(pkt);
-  if (obs::ptracing(ptrace_) && pkt.trace_id != 0)
-    ptrace_->onDrop(pkt.trace_id, pkt.src_node, reason, at);
+  if (probe_) probe_->onDrop(obs::DropSite::kWire, pkt, reason, at);
 }
 
 sim::SimTime Fabric::inject(const Packet& pkt) {
@@ -152,7 +145,6 @@ sim::SimTime Fabric::inject(const Packet& pkt) {
 
   ++stats_.packets;
   stats_.bytes += pkt.wireBytes();
-  if (verify::active(verify_)) verify_->onWireInject(pkt);
   if (pkt.isControl()) {
     ++stats_.control_packets;
     stats_.control_bytes += pkt.wireBytes();
@@ -197,10 +189,8 @@ sim::SimTime Fabric::inject(const Packet& pkt) {
         ++fault_stats_.corrupted;
         corrupted = true;
         poison = lf.rng.next() | 1ULL;  // nonzero => tagValid() fails
-        if (obs::tracing(trace_))
-          trace_->instant(pkt.src_node, "fabric", "fault:corrupt", inj_done,
-                          {{"dst", pkt.dst_node},
-                           {"seq", static_cast<std::int64_t>(pkt.seq)}});
+        if (probe_)
+          probe_->onPacket(obs::PacketEvent::kCorrupted, pkt, inj_done);
       }
       if (lf.cfg.max_jitter_ns > 0) {
         jitter = static_cast<sim::Duration>(lf.rng.nextBelow(
@@ -246,40 +236,35 @@ sim::SimTime Fabric::inject(const Packet& pkt) {
       out_busy_[static_cast<std::size_t>(pkt.src_node)] = tail_leaves_src;
   }
 
-  // One wire-occupancy span per packet: injection start to last byte off the
+  // One wire transfer per packet: injection start to last byte off the
   // destination's input link.
-  if (obs::tracing(trace_))
-    trace_->span(pkt.src_node, "fabric", packetTypeName(pkt.type), inj_start,
-                 rx_done,
-                 {{"dst", pkt.dst_node},
-                  {"bytes", pkt.wireBytes()},
-                  {"seq", static_cast<std::int64_t>(pkt.seq)},
-                  {"job", pkt.job}});
-  if (obs::ptracing(ptrace_) && pkt.trace_id != 0)
-    ptrace_->onWire(pkt.trace_id, inj_start, rx_done);
+  if (probe_)
+    probe_->onTransfer(obs::Transfer::kWire, pkt, inj_start, rx_done);
 
-  // Delivery.  The batched path follows the gctrace pattern — one pointer
-  // test per observer — and engages only when nothing needs a per-packet
-  // delivery event: no faults (reorder breaks the per-destination FIFO the
-  // rings rely on), no trace/ptrace sinks (they stamp delivery instants),
-  // no verify sink (it audits per-delivery, in exact order and time).
+  // Delivery.  The batched path engages whenever no fault is configured
+  // (reorder breaks the per-destination FIFO the rings rely on); the probe
+  // hears of each delivery at handover.
   //
   // Within a destination, arrival times are strictly increasing (input-link
   // serialization), so delivery order equals injection order.  A data
   // packet's receive processing derives every timestamp from the `at`
-  // argument — the DMA completion lands at the identical instant whether
+  // argument — its DMA span and completion carry the same times whether
   // fromWire runs at arrival or early — so data may be handed over
   // immediately, with zero events, as long as no arrival-time-sensitive
   // packet (control, piggybacked refill: they fire wakeups and flush-FSM
   // transitions *now*) is still queued ahead of it.  Those "exact" packets
   // park in the destination's ring behind one drain event; data arriving
   // behind them queues too, preserving total per-destination order.
-  if (cfg_.batch_delivery && !faults_enabled_ && !obs::tracing(trace_) &&
-      !obs::ptracing(ptrace_) && !verify::active(verify_)) {
+  // Timing can still differ from the exact path: fewer events reorder
+  // same-instant ties, and same-nanosecond injects toward one destination
+  // take its input link in firing order.
+  if (cfg_.batch_delivery && !faults_enabled_) {
     const auto dst = static_cast<std::size_t>(pkt.dst_node);
     DeliveryRing& ring = rings_[dst];
     const bool exact = pkt.isControl() || pkt.refill_credits > 0;
     if (!exact && ring.head == ring.q.size()) {
+      if (probe_)
+        probe_->onPacket(obs::PacketEvent::kDelivered, pkt, rx_done);
       deliver_[dst](pkt, rx_done);
     } else {
       ring.q.push_back(PendingDelivery{pkt, rx_done, exact});
@@ -298,7 +283,8 @@ sim::SimTime Fabric::inject(const Packet& pkt) {
                                      static_cast<std::uint32_t>(
                                          poisoned.dst_node)));
     sim_.scheduleAt(rx_done, [this, poisoned, rx_done] {
-      if (verify::active(verify_)) verify_->onWireDeliver(poisoned);
+      if (probe_)
+        probe_->onPacket(obs::PacketEvent::kDelivered, poisoned, rx_done);
       deliver_[static_cast<std::size_t>(poisoned.dst_node)](poisoned, rx_done);
     });
   } else {
@@ -306,7 +292,8 @@ sim::SimTime Fabric::inject(const Packet& pkt) {
                                      static_cast<std::uint32_t>(
                                          pkt.dst_node)));
     sim_.scheduleAt(rx_done, [this, pkt, rx_done] {
-      if (verify::active(verify_)) verify_->onWireDeliver(pkt);
+      if (probe_)
+        probe_->onPacket(obs::PacketEvent::kDelivered, pkt, rx_done);
       deliver_[static_cast<std::size_t>(pkt.dst_node)](pkt, rx_done);
     });
   }
@@ -330,6 +317,8 @@ void Fabric::drainRing(NodeId dst) {
     const Packet pkt = e.pkt;  // copy out: deliver may reallocate the ring
     const sim::SimTime at = e.at;
     ++ring.head;
+    if (probe_)
+      probe_->onPacket(obs::PacketEvent::kDelivered, pkt, at);
     deliver_[static_cast<std::size_t>(dst)](pkt, at);
   }
   ring.q.clear();

@@ -24,15 +24,10 @@
 #include "net/packet.hpp"
 #include "net/routing.hpp"
 #include "obs/metrics.hpp"
+#include "obs/probe.hpp"
 #include "sim/random.hpp"
-#include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 #include "util/sbo_function.hpp"
-#include "verify/sink.hpp"
-
-namespace gangcomm::obs {
-class PacketTracer;
-}
 
 namespace gangcomm::net {
 
@@ -42,11 +37,11 @@ struct FabricConfig {
   sim::Duration hop_latency_ns = 500;  // per switch hop (wormhole cut-through)
   /// Coalesce per-packet wire-delivery events into per-destination bursts
   /// (see the delivery-batching comment in fabric.cpp).  Only engages while
-  /// faults, tracing, packet tracing, and the verify sink are all off; the
-  /// cluster additionally clears it for protocol modes whose receive path
-  /// is arrival-time sensitive (core/cluster.cpp).  Timing of everything
-  /// observable (DMA completions, control handling, credit refills) is
-  /// unchanged; only the event count drops.
+  /// no fault is configured (observers play no part); the cluster clears it
+  /// for protocol modes whose receive path is arrival-time sensitive
+  /// (core/cluster.cpp).  Fewer events reorder same-instant ties, so timing
+  /// can differ: two same-nanosecond injects toward one destination take
+  /// its input link in firing order (DESIGN.md section 13).
   bool batch_delivery = true;
 };
 
@@ -117,18 +112,10 @@ class Fabric {
   void addFailStop(const FailStopEvent& ev);
   const FaultStats& faultStats() const { return fault_stats_; }
 
-  /// Observability hooks (gc_obs).  The recorder may be null; tracing is
-  /// zero-cost when absent or disabled and never perturbs simulation state.
-  void setTrace(obs::TraceRecorder* t) { trace_ = t; }
+  /// Observer seam (may be null): wire transfers, deliveries, drops, and
+  /// corruptions.  The probe observes and never perturbs simulation state.
+  void setProbe(obs::Probe* p) { probe_ = p; }
   void publishMetrics(obs::MetricsRegistry& reg) const;
-
-  /// gctrace hook (may be null).  Stamps wire entry/exit (injection start to
-  /// last byte off the destination input link) for traced data packets.
-  void setPacketTracer(obs::PacketTracer* p) { ptrace_ = p; }
-
-  /// Verification hooks (gcverify).  Null unless the cluster runs with
-  /// verification on; the sink observes and never perturbs simulation state.
-  void setVerify(verify::VerifySink* v) { verify_ = v; }
 
  private:
   /// Fault state for one directed link.  Materialized (for every link at
@@ -176,9 +163,7 @@ class Fabric {
   std::vector<sim::SimTime> in_busy_;
   std::vector<DeliveryRing> rings_;  // indexed by destination node
   FabricStats stats_;
-  obs::TraceRecorder* trace_ = nullptr;
-  obs::PacketTracer* ptrace_ = nullptr;
-  verify::VerifySink* verify_ = nullptr;
+  obs::Probe* probe_ = nullptr;
   bool faults_enabled_ = false;  // single hot-path guard for all faults
   std::uint64_t fault_seed_ = 0;
   std::vector<LinkFaultState> links_;      // p*p, row-major src*p + dst

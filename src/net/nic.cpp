@@ -7,7 +7,6 @@
 #include <string>
 #include <utility>
 
-#include "obs/gctrace.hpp"
 #include "sim/log.hpp"
 #include "util/check.hpp"
 
@@ -157,10 +156,7 @@ util::Status Nic::hostEnqueueSend(ContextId id, const Packet& pkt) {
     hwm = std::max(hwm, pkt.seq);
   }
   GC_CHECK_MSG(ctx->sendq.push(pkt), "send ring overflow despite reservation");
-  // gctrace: the packet is now in NIC SRAM; the halted-time accumulator is
-  // snapshotted here so the dequeue diff isolates the switch stall.
-  if (obs::ptracing(ptrace_) && pkt.trace_id != 0)
-    ptrace_->onNicQueued(pkt.trace_id, node_, sim_.now());
+  if (probe_) probe_->onPacket(obs::PacketEvent::kNicQueued, pkt, sim_.now());
   scheduleSendScan();
   // A flush may be blocked solely on this PIO completing (the packet
   // itself legally rides the switch parked in sendq).
@@ -263,8 +259,8 @@ bool Nic::trySendDataPacket() {
     --sendq_depth_[idx];
     scan_cursor_ = (idx + 1) % contexts_.size();
     Packet pkt = ctx.sendq.pop();
-    if (obs::ptracing(ptrace_) && pkt.trace_id != 0)
-      ptrace_->onNicDequeued(pkt.trace_id, node_, sim_.now());
+    if (probe_)
+      probe_->onPacket(obs::PacketEvent::kNicDequeued, pkt, sim_.now());
     const ContextId cid = ctx.id;
     send_busy_ = true;
     // gcprof: the +lanai_send_ns event is the head hitting the wire, so it
@@ -302,16 +298,12 @@ void Nic::beginFlush(util::SboFunction<void()> on_flushed) {
   GC_CHECK_MSG(!halt_bit_, "flush already in progress");
   GC_CHECK_MSG(!quiesce_mode_, "flush during a local quiesce");
   halt_bit_ = true;
-  if (obs::ptracing(ptrace_)) ptrace_->onHaltBegin(node_, sim_.now());
   halt_broadcast_pending_ = true;
   halt_broadcast_done_ = false;
   flush_complete_ = false;
   on_flushed_ = std::move(on_flushed);
   GC_DEBUG(sim_, "nic", "node %d: local halt ('lh')", node_);
-  if (obs::tracing(trace_))
-    trace_->instant(node_, "nic", "flush:halt_bit", sim_.now());
-  if (verify::active(verify_))
-    verify_->onSwitchStage(node_, verify::SwitchStage::kHaltBegin);
+  reportStage(obs::SwitchStage::kHaltBegin, obs::HaltKind::kFlush);
   scheduleSendScan();
 }
 
@@ -320,9 +312,7 @@ void Nic::maybeBroadcastHalt() {
   halt_broadcast_pending_ = false;
   const int peers = fabric_.nodeCount() - 1;
   pending_halt_sends_ = peers;
-  if (obs::tracing(trace_))
-    trace_->instant(node_, "nic", "flush:halt_broadcast", sim_.now(),
-                    {{"peers", peers}});
+  reportStage(obs::SwitchStage::kHaltBroadcast, obs::HaltKind::kFlush);
   if (peers == 0) {
     halt_broadcast_done_ = true;
     maybeCompleteFlush();
@@ -355,10 +345,7 @@ void Nic::maybeCompleteFlush() {
   halts_consumed_ += peers;
   ++stats_.flushes;
   GC_DEBUG(sim_, "nic", "node %d: network flushed (H,p)", node_);
-  if (obs::tracing(trace_))
-    trace_->instant(node_, "nic", "flush:complete", sim_.now());
-  if (verify::active(verify_))
-    verify_->onSwitchStage(node_, verify::SwitchStage::kFlushComplete);
+  reportStage(obs::SwitchStage::kFlushComplete, obs::HaltKind::kFlush);
   if (on_flushed_) {
     auto cb = std::move(on_flushed_);
     on_flushed_ = nullptr;
@@ -372,10 +359,7 @@ void Nic::beginRelease(util::SboFunction<void()> on_released) {
   on_released_ = std::move(on_released);
   release_pending_ = true;
   release_broadcast_done_ = false;
-  if (obs::tracing(trace_))
-    trace_->instant(node_, "nic", "release:begin", sim_.now());
-  if (verify::active(verify_))
-    verify_->onSwitchStage(node_, verify::SwitchStage::kReleaseBegin);
+  reportStage(obs::SwitchStage::kReleaseBegin, obs::HaltKind::kFlush);
   const int peers = fabric_.nodeCount() - 1;
   pending_ready_sends_ = peers;
   if (peers == 0) {
@@ -402,14 +386,10 @@ void Nic::maybeCompleteRelease() {
   readies_consumed_ += peers;
   release_pending_ = false;
   halt_bit_ = false;
-  if (obs::ptracing(ptrace_)) ptrace_->onHaltEnd(node_, sim_.now());
   flush_complete_ = false;
   halt_broadcast_done_ = false;
   GC_DEBUG(sim_, "nic", "node %d: network released", node_);
-  if (obs::tracing(trace_))
-    trace_->instant(node_, "nic", "release:complete", sim_.now());
-  if (verify::active(verify_))
-    verify_->onSwitchStage(node_, verify::SwitchStage::kReleaseComplete);
+  reportStage(obs::SwitchStage::kReleaseComplete, obs::HaltKind::kFlush);
   if (on_released_) {
     auto cb = std::move(on_released_);
     on_released_ = nullptr;
@@ -421,15 +401,11 @@ void Nic::maybeCompleteRelease() {
 void Nic::beginLocalQuiesce(util::SboFunction<void()> on_quiesced) {
   GC_CHECK_MSG(!halt_bit_ && !quiesce_mode_, "quiesce during another halt");
   halt_bit_ = true;
-  if (obs::ptracing(ptrace_)) ptrace_->onHaltBegin(node_, sim_.now());
   quiesce_mode_ = true;
   quiesce_complete_ = false;
   on_quiesced_ = std::move(on_quiesced);
   GC_DEBUG(sim_, "nic", "node %d: local quiesce begin", node_);
-  if (obs::tracing(trace_))
-    trace_->instant(node_, "nic", "quiesce:begin", sim_.now());
-  if (verify::active(verify_))
-    verify_->onSwitchStage(node_, verify::SwitchStage::kHaltBegin);
+  reportStage(obs::SwitchStage::kHaltBegin, obs::HaltKind::kQuiesce);
   scheduleSendScan();
   // The card may already be idle.
   maybeCompleteQuiesce();
@@ -448,10 +424,7 @@ void Nic::maybeCompleteQuiesce() {
   if (ack_quiesce_mode_ && !allTrafficAcked()) return;
   quiesce_complete_ = true;
   GC_DEBUG(sim_, "nic", "node %d: locally quiesced", node_);
-  if (obs::tracing(trace_))
-    trace_->instant(node_, "nic", "quiesce:complete", sim_.now());
-  if (verify::active(verify_))
-    verify_->onSwitchStage(node_, verify::SwitchStage::kFlushComplete);
+  reportStage(obs::SwitchStage::kFlushComplete, obs::HaltKind::kQuiesce);
   if (on_quiesced_) {
     auto cb = std::move(on_quiesced_);
     on_quiesced_ = nullptr;
@@ -465,16 +438,12 @@ void Nic::beginAckQuiesce(util::SboFunction<void()> on_quiesced) {
   GC_CHECK_MSG(!halt_bit_ && !quiesce_mode_ && !ack_quiesce_mode_,
                "ack-quiesce during another halt");
   halt_bit_ = true;
-  if (obs::ptracing(ptrace_)) ptrace_->onHaltBegin(node_, sim_.now());
   quiesce_mode_ = true;      // shares the local-drain machinery
   ack_quiesce_mode_ = true;  // ...plus the outstanding-traffic condition
   quiesce_complete_ = false;
   on_quiesced_ = std::move(on_quiesced);
   GC_DEBUG(sim_, "nic", "node %d: ack-quiesce begin", node_);
-  if (obs::tracing(trace_))
-    trace_->instant(node_, "nic", "quiesce:ack_begin", sim_.now());
-  if (verify::active(verify_))
-    verify_->onSwitchStage(node_, verify::SwitchStage::kHaltBegin);
+  reportStage(obs::SwitchStage::kHaltBegin, obs::HaltKind::kAckQuiesce);
   scheduleSendScan();
   maybeCompleteQuiesce();
 }
@@ -516,9 +485,7 @@ void Nic::endLocalQuiesce() {
   quiesce_mode_ = false;
   quiesce_complete_ = false;
   halt_bit_ = false;
-  if (obs::ptracing(ptrace_)) ptrace_->onHaltEnd(node_, sim_.now());
-  if (verify::active(verify_))
-    verify_->onSwitchStage(node_, verify::SwitchStage::kReleaseComplete);
+  reportStage(obs::SwitchStage::kReleaseComplete, obs::HaltKind::kQuiesce);
   scheduleSendScan();
 }
 
@@ -531,15 +498,13 @@ void Nic::fromWire(const Packet& pkt, sim::SimTime at) {
       ++halts_rx_;
       GC_TRACE(sim_, "nic", "node %d: halt from %d ('ah')", node_,
                pkt.src_node);
-      if (obs::tracing(trace_))
-        trace_->instant(node_, "nic", "rx:halt", at, {{"src", pkt.src_node}});
+      if (probe_) probe_->onPacket(obs::PacketEvent::kControlRx, pkt, at);
       maybeCompleteFlush();
       return;
     case PacketType::kReady:
       ++stats_.control_received;
       ++readies_rx_;
-      if (obs::tracing(trace_))
-        trace_->instant(node_, "nic", "rx:ready", at, {{"src", pkt.src_node}});
+      if (probe_) probe_->onPacket(obs::PacketEvent::kControlRx, pkt, at);
       maybeCompleteRelease();
       return;
     case PacketType::kRefill: {
@@ -547,25 +512,15 @@ void Nic::fromWire(const Packet& pkt, sim::SimTime at) {
       ContextSlot* ctx = contextForJob(pkt.job);
       if (ctx == nullptr) {
         ++stats_.drops_no_context;
-        if (obs::tracing(trace_))
-          trace_->instant(node_, "nic", "drop:no_ctx", at,
-                          {{"src", pkt.src_node}, {"job", pkt.job}});
-        if (verify::active(verify_)) verify_->onNicDrop(node_, pkt, "no_ctx");
+        shed(obs::DropSite::kNicArrival, pkt, "drop:no_ctx", at);
         return;
       }
-      if (obs::tracing(trace_))
-        trace_->instant(node_, "nic", "credit:refill", at,
-                        {{"src_rank", pkt.src_rank},
-                         {"credits", static_cast<std::int64_t>(
-                                         pkt.refill_credits)}});
+      if (probe_) probe_->onPacket(obs::PacketEvent::kRefillApplied, pkt, at);
       GC_CHECK(pkt.src_rank >= 0 &&
                static_cast<std::size_t>(pkt.src_rank) <
                    ctx->send_credits.size());
       ctx->send_credits[static_cast<std::size_t>(pkt.src_rank)] +=
           static_cast<int>(pkt.refill_credits);
-      if (verify::active(verify_))
-        verify_->onRefillApplied(pkt.job, ctx->rank, pkt.src_rank,
-                                 pkt.refill_credits);
       auto& acked =
           ctx->acked_seq_from[static_cast<std::size_t>(pkt.src_rank)];
       acked = std::max(acked, pkt.ack_seq);
@@ -579,7 +534,7 @@ void Nic::fromWire(const Packet& pkt, sim::SimTime at) {
       ContextSlot* ctx = contextForJob(pkt.job);
       if (ctx == nullptr) {
         ++stats_.drops_no_context;
-        if (verify::active(verify_)) verify_->onNicDrop(node_, pkt, "no_ctx");
+        shed(obs::DropSite::kNicArrival, pkt, "drop:no_ctx", at);
         return;
       }
       if (pkt.src_rank >= 0 &&
@@ -612,20 +567,8 @@ void Nic::deliverData(const Packet& pkt, sim::SimTime at) {
       ++stats_.drops_no_context;
     GC_DEBUG(sim_, "nic", "node %d: DROP data for job %d from node %d", node_,
              pkt.job, pkt.src_node);
-    if (obs::tracing(trace_))
-      trace_->instant(node_, "nic",
-                      discard_wrong_job_ ? "drop:wrong_job" : "drop:no_ctx",
-                      at,
-                      {{"src", pkt.src_node},
-                       {"job", pkt.job},
-                       {"seq", static_cast<std::int64_t>(pkt.seq)}});
-    if (verify::active(verify_))
-      verify_->onNicDrop(node_, pkt,
-                         discard_wrong_job_ ? "wrong_job" : "no_ctx");
-    if (obs::ptracing(ptrace_) && pkt.trace_id != 0)
-      ptrace_->onDrop(pkt.trace_id, node_,
-                      discard_wrong_job_ ? "drop:wrong_job" : "drop:no_ctx",
-                      at);
+    shed(obs::DropSite::kNicArrival, pkt,
+         discard_wrong_job_ ? "drop:wrong_job" : "drop:no_ctx", at);
     return;
   }
   if (cfg_.enforce_fifo) {
@@ -649,9 +592,7 @@ void Nic::deliverData(const Packet& pkt, sim::SimTime at) {
                  ctx->send_credits.size());
     ctx->send_credits[static_cast<std::size_t>(pkt.src_rank)] +=
         static_cast<int>(pkt.refill_credits);
-    if (verify::active(verify_))
-      verify_->onRefillApplied(pkt.job, ctx->rank, pkt.src_rank,
-                               pkt.refill_credits);
+    if (probe_) probe_->onPacket(obs::PacketEvent::kRefillApplied, pkt, at);
     stats_.refill_credits_received += pkt.refill_credits;
     fireSendable(*ctx);
   }
@@ -673,11 +614,7 @@ void Nic::dmaDeliver(const Packet& pkt, ContextSlot& ctx, sim::SimTime at) {
                             sim::transferNs(pkt.wireBytes(), cfg_.dma_mbps);
   dma_busy_until_ = done;
   ++dma_in_flight_;
-  if (obs::tracing(trace_))
-    trace_->span(node_, "nic", "dma", start, done,
-                 {{"src", pkt.src_node},
-                  {"bytes", pkt.wireBytes()},
-                  {"seq", static_cast<std::int64_t>(pkt.seq)}});
+  if (probe_) probe_->onTransfer(obs::Transfer::kDma, pkt, start, done);
   const ContextId cid = ctx.id;
   sim::LpScope lp(sim_, lpSelf());
   // Every input derives from the wire arrival argument `at`, which the
@@ -695,14 +632,7 @@ void Nic::dmaDeliver(const Packet& pkt, ContextSlot& ctx, sim::SimTime at) {
       // a context that is being copied out.
       GC_CHECK_MSG(discard_wrong_job_, "quiesce without a discard policy");
       ++stats_.drops_wrong_job;
-      if (obs::tracing(trace_))
-        trace_->instant(node_, "nic", "drop:quiesce_shed", sim_.now(),
-                        {{"src", pkt.src_node},
-                         {"seq", static_cast<std::int64_t>(pkt.seq)}});
-      if (verify::active(verify_))
-        verify_->onNicDrop(node_, pkt, "quiesce_shed");
-      if (obs::ptracing(ptrace_) && pkt.trace_id != 0)
-        ptrace_->onDrop(pkt.trace_id, node_, "drop:quiesce_shed", sim_.now());
+      shed(obs::DropSite::kNicLanding, pkt, "drop:quiesce_shed", sim_.now());
       return;
     }
     if (c->job != pkt.job) {
@@ -711,14 +641,7 @@ void Nic::dmaDeliver(const Packet& pkt, ContextSlot& ctx, sim::SimTime at) {
       GC_CHECK_MSG(discard_wrong_job_,
                    "context retagged under an in-flight DMA");
       ++stats_.drops_wrong_job;
-      if (obs::tracing(trace_))
-        trace_->instant(node_, "nic", "drop:wrong_job", sim_.now(),
-                        {{"src", pkt.src_node},
-                         {"seq", static_cast<std::int64_t>(pkt.seq)}});
-      if (verify::active(verify_))
-        verify_->onNicDrop(node_, pkt, "wrong_job");
-      if (obs::ptracing(ptrace_) && pkt.trace_id != 0)
-        ptrace_->onDrop(pkt.trace_id, node_, "drop:wrong_job", sim_.now());
+      shed(obs::DropSite::kNicLanding, pkt, "drop:wrong_job", sim_.now());
       maybeCompleteFlush();
       maybeCompleteQuiesce();
       return;
@@ -727,23 +650,13 @@ void Nic::dmaDeliver(const Packet& pkt, ContextSlot& ctx, sim::SimTime at) {
       GC_CHECK_MSG(cfg_.allow_recv_overflow_drop,
                    "receive ring overflow — credit accounting broken");
       ++stats_.drops_recv_overflow;
-      if (obs::tracing(trace_))
-        trace_->instant(node_, "nic", "drop:recv_overflow", sim_.now(),
-                        {{"src", pkt.src_node},
-                         {"seq", static_cast<std::int64_t>(pkt.seq)}});
-      if (verify::active(verify_))
-        verify_->onNicDrop(node_, pkt, "recv_overflow");
-      if (obs::ptracing(ptrace_) && pkt.trace_id != 0)
-        ptrace_->onDrop(pkt.trace_id, node_, "drop:recv_overflow",
-                        sim_.now());
+      shed(obs::DropSite::kNicLanding, pkt, "drop:recv_overflow", sim_.now());
       maybeCompleteFlush();
       maybeCompleteQuiesce();
       return;
     }
     ++c->pkts_received;
-    if (obs::ptracing(ptrace_) && pkt.trace_id != 0)
-      ptrace_->onRxQueued(pkt.trace_id, sim_.now());
-    if (verify::active(verify_)) verify_->onRecvLanded(node_, pkt);
+    if (probe_) probe_->onPacket(obs::PacketEvent::kLanded, pkt, sim_.now());
     if (c->on_arrival) {
       auto cb = std::move(c->on_arrival);
       c->on_arrival = nullptr;

@@ -31,16 +31,11 @@
 #include "net/fabric.hpp"
 #include "net/packet.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/probe.hpp"
 #include "sim/simulator.hpp"
 #include "util/ring_buffer.hpp"
 #include "util/sbo_function.hpp"
 #include "util/status.hpp"
-#include "verify/sink.hpp"
-
-namespace gangcomm::obs {
-class PacketTracer;
-}
 
 namespace gangcomm::net {
 
@@ -230,21 +225,11 @@ class Nic {
 
   // ---- Observability (gc_obs) --------------------------------------------
 
-  /// Attach a trace recorder (may be null).  Hooks emit flush-FSM
-  /// transitions, DMA copy spans, credit refills, and every drop; they are
-  /// zero-cost when the recorder is absent or disabled.
-  void setTrace(obs::TraceRecorder* t) { trace_ = t; }
+  /// Observer seam (may be null): send-queue entry/exit, flush-FSM
+  /// phases, control and refill receipts, DMA transfers, landings, and
+  /// every drop.  The probe only observes.
+  void setProbe(obs::Probe* p) { probe_ = p; }
   void publishMetrics(obs::MetricsRegistry& reg) const;
-
-  /// gctrace hook (may be null).  Stamps send-queue entry/exit and
-  /// receive-queue landing for traced packets, reports drops, and feeds the
-  /// halted-time accumulator behind switch-stall attribution.
-  void setPacketTracer(obs::PacketTracer* p) { ptrace_ = p; }
-
-  /// Attach the verification sink (gcverify; may be null).  Hooks report
-  /// refill applications, drops, landings, and flush-FSM stages; the sink
-  /// only observes and the simulation is bit-identical without it.
-  void setVerify(verify::VerifySink* v) { verify_ = v; }
 
  private:
   void scheduleSendScan();
@@ -266,6 +251,13 @@ class Nic {
   void deliverData(const Packet& pkt, sim::SimTime at);
   void dmaDeliver(const Packet& pkt, ContextSlot& ctx, sim::SimTime at);
   void fireSendable(ContextSlot& ctx);
+  void reportStage(obs::SwitchStage s, obs::HaltKind how) {
+    if (probe_)
+      probe_->onNicStage(node_, s, how, fabric_.nodeCount() - 1, sim_.now());
+  }
+  void shed(obs::DropSite s, const Packet& p, const char* why, sim::SimTime t) {
+    if (probe_) probe_->onDrop(s, p, why, t);
+  }
   std::size_t contextIndex(ContextId id) const;
 
   sim::Simulator& sim_;
@@ -320,9 +312,7 @@ class Nic {
   int dma_in_flight_ = 0;
 
   bool discard_wrong_job_ = false;
-  obs::TraceRecorder* trace_ = nullptr;
-  obs::PacketTracer* ptrace_ = nullptr;
-  verify::VerifySink* verify_ = nullptr;
+  obs::Probe* probe_ = nullptr;
 
   // FIFO assertion state: last data (job, seq) seen per source node.
   std::vector<std::uint64_t> last_seq_from_;

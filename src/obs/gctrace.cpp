@@ -35,6 +35,21 @@ sim::Duration diff(sim::SimTime later, sim::SimTime earlier) {
   return later >= earlier ? later - earlier : 0;
 }
 
+/// Flight-ring entry for one of journey `j`'s stamps.
+FlightEvent journeyEvent(const PacketJourney& j, const char* kind, int node,
+                         sim::SimTime t) {
+  FlightEvent ev;
+  ev.ts = t;
+  ev.kind = kind;
+  ev.node = node;
+  ev.job = j.job;
+  ev.src = j.src_rank;
+  ev.dst = j.dst_rank;
+  ev.id = j.id;
+  ev.seq = j.seq;
+  return ev;
+}
+
 }  // namespace
 
 const char* packetStageName(PacketStage s) {
@@ -234,19 +249,11 @@ std::uint64_t PacketTracer::onSend(int src_node, int dst_node, int job,
   j.send_start = send_start;
   j.credit_grant = credit_grant;
   if (flight_) {
-    FlightEvent ev;
-    ev.ts = credit_grant;
-    ev.kind = "send";
-    ev.node = src_node;
-    ev.job = job;
-    ev.src = src_rank;
-    ev.dst = dst_rank;
-    ev.id = id;
-    ev.seq = seq;
+    FlightEvent ev = journeyEvent(j, "send", src_node, credit_grant);
     ev.value = static_cast<std::int64_t>(bytes);
     flight_->record(ev);
   }
-  if (tracing(trace_)) {
+  if (trace_ != nullptr) {
     // Anchored at send_start (not credit_grant) so the flow arrow spans the
     // full journey and finish_ts - start_ts equals the sum of the stages.
     trace_->flowStart(src_node, "gctrace", "pkt", send_start, id,
@@ -266,18 +273,7 @@ void PacketTracer::onNicQueued(std::uint64_t id, int node, sim::SimTime t) {
   j.nicq_enter = t;
   j.halt_acc_enq = haltedAccAt(node, t);
   j.switch_stall = 0;  // reset in case this is a retransmission re-stamp
-  if (flight_) {
-    FlightEvent ev;
-    ev.ts = t;
-    ev.kind = "nicq";
-    ev.node = node;
-    ev.job = j.job;
-    ev.src = j.src_rank;
-    ev.dst = j.dst_rank;
-    ev.id = id;
-    ev.seq = j.seq;
-    flight_->record(ev);
-  }
+  if (flight_) flight_->record(journeyEvent(j, "nicq", node, t));
 }
 
 void PacketTracer::onNicDequeued(std::uint64_t id, int node, sim::SimTime t) {
@@ -302,18 +298,7 @@ void PacketTracer::onRxQueued(std::uint64_t id, sim::SimTime t) {
   if (it == journeys_.end()) return;
   PacketJourney& j = it->second;
   j.rxq_enter = t;
-  if (flight_) {
-    FlightEvent ev;
-    ev.ts = t;
-    ev.kind = "rxq";
-    ev.node = j.dst_node;
-    ev.job = j.job;
-    ev.src = j.src_rank;
-    ev.dst = j.dst_rank;
-    ev.id = id;
-    ev.seq = j.seq;
-    flight_->record(ev);
-  }
+  if (flight_) flight_->record(journeyEvent(j, "rxq", j.dst_node, t));
 }
 
 void PacketTracer::onDispatch(std::uint64_t id, sim::SimTime t) {
@@ -323,15 +308,7 @@ void PacketTracer::onDispatch(std::uint64_t id, sim::SimTime t) {
   j.dispatch = t;
   attr_.record(j);
   if (flight_) {
-    FlightEvent ev;
-    ev.ts = t;
-    ev.kind = "dispatch";
-    ev.node = j.dst_node;
-    ev.job = j.job;
-    ev.src = j.src_rank;
-    ev.dst = j.dst_rank;
-    ev.id = id;
-    ev.seq = j.seq;
+    FlightEvent ev = journeyEvent(j, "dispatch", j.dst_node, t);
     ev.value = static_cast<std::int64_t>(j.bytes);
     for (const PacketStage s : packetStages())
       ev.stages[static_cast<std::size_t>(s)] =
@@ -339,7 +316,7 @@ void PacketTracer::onDispatch(std::uint64_t id, sim::SimTime t) {
     ev.has_stages = true;
     flight_->record(ev);
   }
-  if (tracing(trace_)) {
+  if (trace_ != nullptr) {
     trace_->flowFinish(
         j.dst_node, "gctrace", "pkt", t, id,
         {{"job", j.job},
@@ -387,11 +364,6 @@ void PacketTracer::onDrop(std::uint64_t id, int node, const char* reason,
   flight_->record(ev);
 }
 
-void PacketTracer::onSwitchCarried(std::uint64_t id) {
-  const auto it = journeys_.find(id);
-  if (it != journeys_.end()) ++it->second.switches_carried;
-}
-
 void PacketTracer::onHaltBegin(int node, sim::SimTime t) {
   NodeHalt& h = nodeHalt(node);
   if (h.halted) return;
@@ -418,6 +390,61 @@ void PacketTracer::protocolEvent(int node, const char* kind, sim::SimTime t,
   ev.node = node;
   ev.value = value;
   flight_->record(ev);
+}
+
+// ---- Probe consumer ---------------------------------------------------------
+
+std::uint64_t PacketTracer::onSend(const net::Packet& p, int,
+                                   sim::SimTime first_try, sim::SimTime t) {
+  return onSend(p.src_node, p.dst_node, p.job, p.src_rank, p.dst_rank, p.seq,
+                p.payload_bytes, first_try, t);
+}
+
+void PacketTracer::onPacket(PacketEvent ev, const net::Packet& p,
+                            sim::SimTime t) {
+  const std::uint64_t id = p.trace_id;
+  if (id == 0) return;
+  if (ev == PacketEvent::kNicQueued) onNicQueued(id, p.src_node, t);
+  if (ev == PacketEvent::kNicDequeued) onNicDequeued(id, p.src_node, t);
+  if (ev == PacketEvent::kLanded) onRxQueued(id, t);
+  if (ev == PacketEvent::kDispatched) onDispatch(id, t);
+  if (ev == PacketEvent::kCarried) {
+    // Copied out of a live NIC queue: it rides the switch in a backing store.
+    const auto it = journeys_.find(id);
+    if (it != journeys_.end()) ++it->second.switches_carried;
+  }
+}
+
+void PacketTracer::onDrop(DropSite site, const net::Packet& p,
+                          const char* reason, sim::SimTime t) {
+  if (p.trace_id != 0)
+    onDrop(p.trace_id, site == DropSite::kWire ? p.src_node : p.dst_node,
+           reason, t);
+}
+
+void PacketTracer::onTransfer(Transfer kind, const net::Packet& p,
+                              sim::SimTime start, sim::SimTime done) {
+  if (kind == Transfer::kWire && p.trace_id != 0)
+    onWire(p.trace_id, start, done);
+}
+
+void PacketTracer::onNicStage(net::NodeId node, SwitchStage stage, HaltKind,
+                              int, sim::SimTime t) {
+  if (stage == SwitchStage::kHaltBegin) onHaltBegin(node, t);
+  if (stage == SwitchStage::kReleaseComplete) onHaltEnd(node, t);
+}
+
+void PacketTracer::onBufferSwitch(net::NodeId node, net::JobId, net::JobId,
+                                  sim::SimTime start, sim::Duration out_ns,
+                                  sim::Duration in_ns, const CopyCounts& c) {
+  // Flight-ring breadcrumbs: a post-mortem dump shows which switches were in
+  // progress around the aborting invariant.
+  if (out_ns > 0)
+    protocolEvent(node, "copy_out", start + out_ns,
+                  static_cast<std::int64_t>(c.bytes_out));
+  if (in_ns > 0)
+    protocolEvent(node, "copy_in", start + out_ns + in_ns,
+                  static_cast<std::int64_t>(c.bytes_in));
 }
 
 const PacketJourney* PacketTracer::journey(std::uint64_t id) const {

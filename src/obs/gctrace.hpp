@@ -52,6 +52,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/probe.hpp"
 #include "obs/trace.hpp"
 #include "sim/time.hpp"
 #include "util/ring_buffer.hpp"
@@ -187,13 +188,12 @@ class FlightRecorder {
   std::uint64_t recorded_ = 0;
 };
 
-/// The stamping hub.  Subsystems hold a nullable `PacketTracer*`; the whole
-/// layer costs one pointer test per hook site when tracing is off (the
-/// pointer is only installed when ClusterConfig::packet_trace or the flight
-/// recorder is on).  Like TraceRecorder, the tracer only observes: it never
-/// schedules events or charges simulated time, so enabling it cannot change
-/// simulation results.
-class PacketTracer {
+/// The stamping hub, and a probe consumer: the Probe overrides below map the
+/// subsystems' packet and protocol callbacks onto the stamps.  The cluster
+/// installs it only when ClusterConfig::packet_trace or the flight recorder
+/// is on.  Like every probe it only observes: it never schedules events or
+/// charges simulated time, so enabling it cannot change simulation results.
+class PacketTracer final : public Probe {
  public:
   /// `trace` may be null: attribution and the flight ring still work, only
   /// the Chrome flow events are skipped.
@@ -203,7 +203,7 @@ class PacketTracer {
   FlightRecorder* flight() { return flight_.get(); }
   const FlightRecorder* flight() const { return flight_.get(); }
 
-  // ---- Packet lifecycle hooks (call sites null-guard the tracer) ---------
+  // ---- Packet lifecycle stamps -------------------------------------------
 
   /// Mint a trace id and open the journey; returns the id to ride in
   /// Packet::trace_id.  `send_start` is the fragment's first send() attempt,
@@ -221,9 +221,6 @@ class PacketTracer {
   /// A traced packet was shed (wire fault, wrong job, overflow...).  The
   /// journey stays open — a retransmission may still complete it.
   void onDrop(std::uint64_t id, int node, const char* reason, sim::SimTime t);
-  /// The packet was copied out of a live NIC queue by the buffer switcher
-  /// (it rides the switch in a backing store and comes back on copy-in).
-  void onSwitchCarried(std::uint64_t id);
 
   // ---- Halt accounting (switch-stall attribution) ------------------------
 
@@ -234,6 +231,20 @@ class PacketTracer {
 
   void protocolEvent(int node, const char* kind, sim::SimTime t,
                      std::int64_t value = 0);
+
+  // ---- Probe consumer ------------------------------------------------------
+
+  std::uint64_t onSend(const net::Packet&, int, sim::SimTime,
+                       sim::SimTime) override;
+  void onPacket(PacketEvent, const net::Packet&, sim::SimTime) override;
+  void onDrop(DropSite, const net::Packet&, const char*, sim::SimTime) override;
+  void onTransfer(Transfer, const net::Packet&, sim::SimTime,
+                  sim::SimTime) override;
+  void onNicStage(net::NodeId, SwitchStage, HaltKind, int,
+                  sim::SimTime) override;
+  void onBufferSwitch(net::NodeId, net::JobId, net::JobId, sim::SimTime,
+                      sim::Duration, sim::Duration,
+                      const CopyCounts&) override;
 
   const LatencyAttribution& attribution() const { return attr_; }
   /// Journeys opened but not yet dispatched (in flight or dropped).
@@ -257,11 +268,5 @@ class PacketTracer {
   std::uint64_t next_id_ = 1;
   LatencyAttribution attr_;
 };
-
-/// The canonical hook guard, mirroring obs::tracing():
-/// `if (obs::ptracing(ptrace_)) ptrace_->onNicQueued(...);`
-/// A single pointer test — the tracer is only installed when packet tracing
-/// is enabled, so the disabled path costs one predictable branch.
-inline bool ptracing(const PacketTracer* t) { return t != nullptr; }
 
 }  // namespace gangcomm::obs

@@ -3,19 +3,16 @@
 // A TraceRecorder collects typed trace events — packet injections and
 // receipts, credit movements, flush-FSM transitions, DMA copies, and the
 // three gang context-switch stages — with simulated-nanosecond timestamps.
-// The whole layer is zero-cost when disabled: instrumented subsystems hold a
-// plain `TraceRecorder*` (possibly null) and guard every hook with
-// `obs::tracing(rec_)`, a pointer test plus a bool load; no event is built,
-// no allocation happens, and simulation behaviour is identical either way
-// (recording never schedules events or charges simulated time).
+// Subsystems never see the recorder: they report to their obs::Probe, and a
+// TraceProbe (below) turns the probe stream into these records.  With no
+// probe installed no event is built and no allocation happens; recording
+// never schedules events or charges simulated time.
 //
 // The recorded stream can be
 //  * exported as Chrome `chrome://tracing` / Perfetto JSON — one "process"
 //    per cluster node, one "thread" per subsystem track, so a whole gang
 //    switch reads as stacked spans across the node rows; or
-//  * queried in-process (`select()`), which is how the figure benches read
-//    the halt / buffer-switch / release stage costs instead of scraping
-//    private state.
+//  * queried in-process (`select()`).
 #pragma once
 
 #include <array>
@@ -24,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/probe.hpp"
 #include "sim/time.hpp"
 
 namespace gangcomm::obs {
@@ -64,9 +62,7 @@ struct TraceEvent {
 
 class TraceRecorder {
  public:
-  /// Recording gate.  Hooks must check enabled() (via obs::tracing) before
-  /// building an event; record() on a disabled recorder is also a no-op so
-  /// a race between the check and the call cannot corrupt anything.
+  /// Recording gate: every builder below is a no-op while disabled.
   bool enabled() const { return enabled_; }
   void setEnabled(bool on) { enabled_ = on; }
 
@@ -74,7 +70,7 @@ class TraceRecorder {
     if (enabled_) events_.push_back(ev);
   }
 
-  /// Convenience builders (still call-site-guarded for zero cost).
+  /// Convenience builders.
   void instant(int node, const char* track, const char* name, sim::SimTime ts,
                std::initializer_list<TraceArg> args = {});
   void span(int node, const char* track, const char* name, sim::SimTime start,
@@ -106,13 +102,40 @@ class TraceRecorder {
   bool writeChromeTrace(const std::string& path) const;
 
  private:
+  void add(TracePhase phase, int node, const char* track, const char* name,
+           sim::SimTime ts, sim::Duration dur, std::uint64_t flow_id,
+           std::initializer_list<TraceArg> args);
+
   bool enabled_ = false;
   std::vector<TraceEvent> events_;
 };
 
-/// The canonical hook guard: `if (obs::tracing(rec_)) rec_->span(...);`
-inline bool tracing(const TraceRecorder* r) {
-  return r != nullptr && r->enabled();
-}
+/// The trace consumer of the probe stream: turns each callback into Chrome
+/// records, choosing their names, tracks ("fabric", "nic", "fm", "glue",
+/// "gang"), node rows and args.
+class TraceProbe final : public Probe {
+ public:
+  explicit TraceProbe(TraceRecorder& rec) : rec_(rec) {}
+
+  std::uint64_t onSend(const net::Packet&, int, sim::SimTime,
+                       sim::SimTime) override;
+  void onSendBlocked(net::NodeId, int, std::uint32_t, bool,
+                     sim::SimTime) override;
+  void onRtxTimeout(net::NodeId, int, std::size_t, int, sim::SimTime) override;
+  void onPacket(PacketEvent, const net::Packet&, sim::SimTime) override;
+  void onDrop(DropSite, const net::Packet&, const char*, sim::SimTime) override;
+  void onTransfer(Transfer, const net::Packet&, sim::SimTime,
+                  sim::SimTime) override;
+  void onNicStage(net::NodeId, SwitchStage, HaltKind, int,
+                  sim::SimTime) override;
+  void onBufferSwitch(net::NodeId, net::JobId, net::JobId, sim::SimTime,
+                      sim::Duration, sim::Duration,
+                      const CopyCounts&) override;
+  void onGangSwitch(net::NodeId, int, int, sim::SimTime, sim::SimTime,
+                    sim::SimTime, sim::SimTime, const CopyCounts&) override;
+
+ private:
+  TraceRecorder& rec_;
+};
 
 }  // namespace gangcomm::obs

@@ -138,24 +138,11 @@ void NodeDaemon::handleSwitchSlot(const CtrlMsg& msg) {
         done.report.halt_ns = t1 - t0;
         done.report.switch_ns = t2 - t1;
         done.report.release_ns = t3 - t2;
-        if (obs::tracing(trace_)) {
-          trace_->span(node_, "gang", "halt", t0, t1,
-                       {{"from_slot", msg.from_slot}});
-          trace_->span(node_, "gang", "buffer_switch", t1, t2,
-                       {{"send_pkts", r.valid_send_pkts},
-                        {"recv_pkts", r.valid_recv_pkts},
-                        {"bytes_out",
-                         static_cast<std::int64_t>(r.bytes_copied_out)},
-                        {"bytes_in",
-                         static_cast<std::int64_t>(r.bytes_copied_in)}});
-          trace_->span(node_, "gang", "release", t2, t3,
-                       {{"to_slot", msg.to_slot}});
-          trace_->span(node_, "gang", "switch", t0, t3,
-                       {{"from_slot", msg.from_slot},
-                        {"to_slot", msg.to_slot},
-                        {"send_pkts", r.valid_send_pkts},
-                        {"recv_pkts", r.valid_recv_pkts}});
-        }
+        if (probe_)
+          probe_->onGangSwitch(node_, msg.from_slot, msg.to_slot, t0, t1, t2,
+                               t3,
+                               {r.valid_send_pkts, r.valid_recv_pkts,
+                                r.bytes_copied_out, r.bytes_copied_in});
         GC_INFO(sim_, "noded",
                 "node %d: switch %d->%d halt=%.0fus copy=%.0fus rel=%.0fus "
                 "(sq=%u rq=%u)",

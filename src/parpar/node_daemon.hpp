@@ -15,7 +15,7 @@
 
 #include "host/cpu_model.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/probe.hpp"
 #include "parpar/control_network.hpp"
 #include "parpar/interfaces.hpp"
 #include "sim/simulator.hpp"
@@ -51,11 +51,9 @@ class NodeDaemon {
   int currentSlot() const { return current_slot_; }
   std::uint64_t switchesDone() const { return switches_done_; }
 
-  /// Observability hooks (gc_obs).  Each completed gang switch emits one
-  /// "switch" span on the "gang" track plus child spans "halt",
-  /// "buffer_switch", and "release" covering the three protocol stages —
-  /// the spans the fig7/fig9 benches read their per-stage costs from.
-  void setTrace(obs::TraceRecorder* t) { trace_ = t; }
+  /// Observer seam (may be null): each completed gang switch with its
+  /// three protocol stages (halt, buffer switch, release).
+  void setProbe(obs::Probe* p) { probe_ = p; }
   void publishMetrics(obs::MetricsRegistry& reg) const;
 
  private:
@@ -85,7 +83,7 @@ class NodeDaemon {
   int current_slot_ = 0;
   bool switch_in_progress_ = false;
   std::uint64_t switches_done_ = 0;
-  obs::TraceRecorder* trace_ = nullptr;
+  obs::Probe* probe_ = nullptr;
 };
 
 }  // namespace gangcomm::parpar

@@ -137,8 +137,7 @@ void InvariantEngine::onWireDeliver(const net::Packet& p) {
 void InvariantEngine::onWireDrop(const net::Packet& p) {
   FlowCounters& f = p.isControl() ? control_ : data_;
   ++f.wire_dropped;
-  ++drop_reasons_["fabric_fault"];
-  accountDroppedPacket(p, "fabric_fault");
+  accountDroppedPacket(p);
 }
 
 void InvariantEngine::onRecvLanded(net::NodeId node, const net::Packet& p) {
@@ -150,21 +149,17 @@ void InvariantEngine::onRecvLanded(net::NodeId node, const net::Packet& p) {
            "'s receive queue while the buffer switcher owns the buffers");
 }
 
-void InvariantEngine::onNicDrop(net::NodeId node, const net::Packet& p,
-                                const char* reason) {
-  (void)node;
+void InvariantEngine::onNicDrop(net::NodeId, const net::Packet& p,
+                                const char*) {
   if (!p.isControl()) ++nic_dropped_;
-  ++drop_reasons_[reason];
-  accountDroppedPacket(p, reason);
+  accountDroppedPacket(p);
 }
 
-void InvariantEngine::onFmShed(net::NodeId node, const net::Packet& p) {
-  (void)node;
+void InvariantEngine::onFmShed(net::NodeId, const net::Packet& p) {
   // The packet landed (it is part of `landed_` already) and the NIC applied
   // any piggybacked refill before DMA, so this is NOT accountDroppedPacket:
   // only the data packet's own credit can be lost, and only when no
   // retransmission layer exists to deliver a clean copy later.
-  ++drop_reasons_["fm_checksum"];
   auto it = jobs_.find(p.job);
   if (it == jobs_.end()) return;
   JobLedger& jl = it->second;
@@ -173,9 +168,7 @@ void InvariantEngine::onFmShed(net::NodeId node, const net::Packet& p) {
   if (pl.outstanding.erase(p.seq) != 0) ++pl.lost;
 }
 
-void InvariantEngine::accountDroppedPacket(const net::Packet& p,
-                                           const char* reason) {
-  (void)reason;
+void InvariantEngine::accountDroppedPacket(const net::Packet& p) {
   auto it = jobs_.find(p.job);
   if (it == jobs_.end()) return;
   JobLedger& jl = it->second;
@@ -263,6 +256,8 @@ void InvariantEngine::onSwitchStage(net::NodeId node, SwitchStage stage) {
       }
       ns.fsm = NodeState::kReleasing;
       return;
+    case SwitchStage::kHaltBroadcast:  // a step inside the halt stage
+      return;
     case SwitchStage::kReleaseComplete:
       // The no-broadcast protocols (local/ack quiesce) go straight from
       // flushed to released with no kReleaseBegin.
@@ -274,6 +269,62 @@ void InvariantEngine::onSwitchStage(net::NodeId node, SwitchStage stage) {
       ns.fsm = NodeState::kRunning;
       return;
   }
+}
+
+// ---- Probe consumer ---------------------------------------------------------
+
+std::uint64_t InvariantEngine::onSend(const net::Packet& p, int, sim::SimTime,
+                                      sim::SimTime) {
+  onCreditDebit(p.job, p.src_rank, p.dst_rank, p.seq);
+  return 0;
+}
+
+void InvariantEngine::onPacket(obs::PacketEvent ev, const net::Packet& p,
+                               sim::SimTime) {
+  using obs::PacketEvent;
+  // Refills travel against the data flow: they move the credits the
+  // carrier's destination rank holds toward its source rank.
+  if (ev == PacketEvent::kDelivered) onWireDeliver(p);
+  if (ev == PacketEvent::kLanded) onRecvLanded(p.dst_node, p);
+  if (ev == PacketEvent::kAccepted)
+    onPacketAccepted(p.job, p.src_rank, p.dst_rank, p.seq);
+  if (ev == PacketEvent::kRefillQueued)
+    onRefillQueued(p.job, p.dst_rank, p.src_rank, p.refill_credits);
+  if (ev == PacketEvent::kRefillApplied)
+    onRefillApplied(p.job, p.dst_rank, p.src_rank, p.refill_credits);
+}
+
+void InvariantEngine::onDrop(obs::DropSite site, const net::Packet& p,
+                             const char* reason, sim::SimTime) {
+  if (site == obs::DropSite::kWire) {  // dropped before its wire transfer
+    onWireInject(p);
+    onWireDrop(p);
+  } else if (site == obs::DropSite::kFmChecksum) {
+    onFmShed(p.dst_node, p);
+  } else if (site != obs::DropSite::kFmWindow) {  // retransmit layer's own
+    onNicDrop(p.dst_node, p, reason);
+  }
+}
+
+void InvariantEngine::onTransfer(obs::Transfer kind, const net::Packet& p,
+                                 sim::SimTime, sim::SimTime) {
+  if (kind == obs::Transfer::kWire) onWireInject(p);
+}
+
+void InvariantEngine::onNicStage(net::NodeId node, SwitchStage stage,
+                                 obs::HaltKind, int, sim::SimTime) {
+  onSwitchStage(node, stage);
+}
+
+void InvariantEngine::onBufferSwitch(net::NodeId node, net::JobId, net::JobId,
+                                     sim::SimTime, sim::Duration,
+                                     sim::Duration, const obs::CopyCounts&) {
+  // The copy runs inside one synchronous call, so the switcher holds the
+  // buffers across no event boundary: what is checked is the protocol
+  // order and the exclusivity of acquire/release.
+  onSwitchStage(node, SwitchStage::kCopyBegin);
+  onBufferAcquire(node, BufferOwner::kSwitcher);
+  onBufferRelease(node, BufferOwner::kSwitcher);
 }
 
 // ---- Event-boundary checks --------------------------------------------------

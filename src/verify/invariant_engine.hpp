@@ -1,8 +1,8 @@
 // The gcverify dynamic invariant engine.
 //
-// Registered as the Simulator's EventObserver, the engine re-derives the
-// protocol's conservation laws from the VerifySink event stream and checks
-// them after every fired event:
+// A probe consumer (obs/probe.hpp) registered as the Simulator's
+// EventObserver: the engine re-derives the protocol's conservation laws from
+// the probe stream and checks them after every fired event:
 //
 //  1. Credit conservation.  For each pair (job, a -> b) the engine keeps a
 //     ledger: outstanding fragments (debited, not yet accepted), credits
@@ -41,18 +41,24 @@
 
 #include "net/nic.hpp"
 #include "net/packet.hpp"
+#include "obs/probe.hpp"
 #include "sim/simulator.hpp"
 #include "util/sbo_function.hpp"
-#include "verify/sink.hpp"
 
 namespace gangcomm::verify {
+
+using obs::SwitchStage;
+
+/// Who currently owns a node's live context queue buffers.
+enum class BufferOwner { kNic, kSwitcher };
 
 struct Violation {
   sim::SimTime time = 0;
   std::string what;
 };
 
-class InvariantEngine : public VerifySink, public sim::EventObserver {
+class InvariantEngine final : public obs::Probe,
+                              public sim::EventObserver {
  public:
   enum class OnViolation { kAbort, kCollect };
 
@@ -89,29 +95,45 @@ class InvariantEngine : public VerifySink, public sim::EventObserver {
   /// Checks run after every fired event; also invokable directly by tests.
   void onEventBoundary(sim::SimTime now, std::uint64_t fired) override;
 
-  // ---- VerifySink ---------------------------------------------------------
+  // ---- Probe consumer ----------------------------------------------------
 
+  std::uint64_t onSend(const net::Packet&, int, sim::SimTime,
+                       sim::SimTime) override;
+  void onPacket(obs::PacketEvent, const net::Packet&, sim::SimTime) override;
+  void onDrop(obs::DropSite, const net::Packet&, const char*,
+              sim::SimTime) override;
+  void onTransfer(obs::Transfer, const net::Packet&, sim::SimTime,
+                  sim::SimTime) override;
+  void onNicStage(net::NodeId node, SwitchStage stage, obs::HaltKind, int,
+                  sim::SimTime) override;
+  void onBufferSwitch(net::NodeId, net::JobId, net::JobId, sim::SimTime,
+                      sim::Duration, sim::Duration,
+                      const obs::CopyCounts&) override;
   void onJobCredits(net::JobId job, int rank, int job_size, int c0,
                     bool retransmit) override;
   void onJobEnd(net::JobId job) override;
+
+  // ---- Ledger events (the callbacks above map onto these) ----------------
+  // Credit pairs are keyed by data-flow direction: (job, src, dst) are the
+  // credits src holds toward dst, whichever packet carries the movement.
+
   void onCreditDebit(net::JobId job, int src_rank, int dst_rank,
-                     std::uint64_t seq) override;
+                     std::uint64_t seq);
   void onPacketAccepted(net::JobId job, int src_rank, int dst_rank,
-                        std::uint64_t seq) override;
+                        std::uint64_t seq);
   void onRefillQueued(net::JobId job, int src_rank, int dst_rank,
-                      std::uint32_t credits) override;
+                      std::uint32_t credits);
   void onRefillApplied(net::JobId job, int src_rank, int dst_rank,
-                       std::uint32_t credits) override;
-  void onWireInject(const net::Packet& p) override;
-  void onWireDeliver(const net::Packet& p) override;
-  void onWireDrop(const net::Packet& p) override;
-  void onRecvLanded(net::NodeId node, const net::Packet& p) override;
-  void onNicDrop(net::NodeId node, const net::Packet& p,
-                 const char* reason) override;
-  void onFmShed(net::NodeId node, const net::Packet& p) override;
-  void onBufferAcquire(net::NodeId node, BufferOwner who) override;
-  void onBufferRelease(net::NodeId node, BufferOwner who) override;
-  void onSwitchStage(net::NodeId node, SwitchStage stage) override;
+                       std::uint32_t credits);
+  void onWireInject(const net::Packet& p);
+  void onWireDeliver(const net::Packet& p);
+  void onWireDrop(const net::Packet& p);
+  void onRecvLanded(net::NodeId node, const net::Packet& p);
+  void onNicDrop(net::NodeId node, const net::Packet& p, const char* reason);
+  void onFmShed(net::NodeId node, const net::Packet& p);
+  void onBufferAcquire(net::NodeId node, BufferOwner who);
+  void onBufferRelease(net::NodeId node, BufferOwner who);
+  void onSwitchStage(net::NodeId node, SwitchStage stage);
 
  private:
   /// Ledger for one directed pair: src_rank's credits toward dst_rank.
@@ -146,7 +168,7 @@ class InvariantEngine : public VerifySink, public sim::EventObserver {
   void report(const std::string& what);
   PairLedger& pair(JobLedger& jl, int src, int dst);
   /// Ledger bookkeeping shared by wire- and NIC-level drops of one packet.
-  void accountDroppedPacket(const net::Packet& p, const char* reason);
+  void accountDroppedPacket(const net::Packet& p);
   void checkCredits();
   NodeVerifyState& nodeState(net::NodeId node);
   static const char* stateName(NodeState s);
@@ -164,7 +186,6 @@ class InvariantEngine : public VerifySink, public sim::EventObserver {
   FlowCounters control_;
   std::uint64_t landed_ = 0;
   std::uint64_t nic_dropped_ = 0;
-  std::map<std::string, std::uint64_t> drop_reasons_;
 };
 
 }  // namespace gangcomm::verify

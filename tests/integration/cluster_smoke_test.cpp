@@ -2,6 +2,7 @@
 // configuration of the paper's Figure 5 measurements.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -153,6 +154,24 @@ TEST(ClusterSmoke, SubmitRejectsOversizedJob) {
   cfg.nodes = 4;
   Cluster cluster(cfg);
   EXPECT_EQ(cluster.submit(5, bandwidthFactory(64, 1)), net::kNoJob);
+}
+
+// Spawn order is whatever the control network's jitter makes it: at seed 22
+// rank 1 of this job spawns first.  processes() still lists ranks in order,
+// so callers may take processes(job)[0] as rank 0 (the sender).
+TEST(ClusterSmoke, ProcessesAreListedInRankOrder) {
+  ClusterConfig cfg;
+  cfg.nodes = 16;
+  cfg.policy = glue::BufferPolicy::kPartitioned;
+  cfg.seed = 22;
+  Cluster cluster(cfg);
+  const net::JobId job = cluster.submit(2, bandwidthFactory(4096, 100));
+  cluster.run();
+  const auto procs = cluster.processes(job);
+  ASSERT_EQ(procs.size(), 2u);
+  for (int r = 0; r < 2; ++r)
+    EXPECT_EQ(procs[static_cast<std::size_t>(r)]->rank(), r);
+  EXPECT_NE(dynamic_cast<BandwidthSender*>(procs[0]), nullptr);
 }
 
 }  // namespace

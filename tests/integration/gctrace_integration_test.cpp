@@ -21,7 +21,7 @@
 #include "obs/gctrace.hpp"
 #include "obs/metrics.hpp"
 #include "report.hpp"
-#include "verify/sink.hpp"
+#include "verify/invariant_engine.hpp"
 
 namespace gangcomm::core {
 namespace {
@@ -142,13 +142,10 @@ TEST(GctraceIntegration, PacketTracingIsBehaviourallyInvisible) {
     std::size_t switches = 0;
     bool operator==(const RunDigest&) const = default;
   };
-  auto digest = [](bool packet_trace) {
+  // Both delivery paths: the tracer never touches the batching decision.
+  auto digest = [](bool packet_trace, bool batch) {
     ClusterConfig cfg = tracedConfig(packet_trace);
-    // Pin the fabric onto the exact per-packet delivery path in both runs:
-    // an installed tracer disables delivery batching, which changes the raw
-    // event count without changing behaviour (covered separately by
-    // Observability.BatchedDeliveryIsBehaviourallyInvisible).
-    cfg.fabric.batch_delivery = false;
+    cfg.fabric.batch_delivery = batch;
     Cluster cluster(std::move(cfg));
     cluster.submit(4, allToAll(20));
     cluster.submit(4, allToAll(20));
@@ -157,10 +154,13 @@ TEST(GctraceIntegration, PacketTracingIsBehaviourallyInvisible) {
                      cluster.fabric().stats().data_bytes,
                      cluster.switchRecords().size()};
   };
-  const RunDigest off = digest(false);
-  const RunDigest on = digest(true);
-  EXPECT_EQ(off, on);
-  EXPECT_GT(on.switches, 0u);
+  for (const bool batch : {true, false}) {
+    SCOPED_TRACE(batch ? "batched delivery" : "exact delivery");
+    const RunDigest off = digest(false, batch);
+    const RunDigest on = digest(true, batch);
+    EXPECT_EQ(off, on);
+    EXPECT_GT(on.switches, 0u);
+  }
 }
 
 TEST(GctraceIntegration, MetricsCarryTheAttribution) {

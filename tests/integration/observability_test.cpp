@@ -1,18 +1,23 @@
 // End-to-end observability: a traced cluster run yields gang-stage spans and
 // packet events from several subsystems, the metrics registry sees every
-// layer, and tracing stays behaviourally invisible — the identical run with
-// tracing off produces bit-identical simulation state.
+// layer, and every observer stays behaviourally invisible — the identical
+// run with it off produces bit-identical simulation state, event count
+// included, with delivery batching on or off.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "app/workloads.hpp"
+#include "bench/common.hpp"
 #include "core/cluster.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -47,14 +52,9 @@ struct RunDigest {
   bool operator==(const RunDigest&) const = default;
 };
 
-RunDigest runSwitched(bool trace) {
+RunDigest runSwitched(bool trace, bool batch) {
   ClusterConfig cfg = switchedConfig(trace);
-  // Tracing forces the fabric onto the exact per-packet delivery path
-  // (batching only engages with every observer off), which changes the raw
-  // event count without changing behaviour.  Pin batching off so the
-  // digests — event count included — isolate tracing itself;
-  // BatchedDeliveryIsBehaviourallyInvisible covers the batching axis.
-  cfg.fabric.batch_delivery = false;
+  cfg.fabric.batch_delivery = batch;
   Cluster cluster(std::move(cfg));
   cluster.submit(4, allToAll());
   cluster.submit(4, allToAll());
@@ -109,16 +109,22 @@ TEST(Observability, TracedRunEmitsGangStagesAndPacketEvents) {
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
 }
 
+// Covers both delivery paths: observers never touch the batching decision.
 TEST(Observability, TracingIsBehaviourallyInvisible) {
-  const RunDigest off = runSwitched(false);
-  const RunDigest on = runSwitched(true);
-  EXPECT_EQ(off, on);
-  EXPECT_GT(off.switches, 0u);  // the comparison exercised real switching
+  for (const bool batch : {true, false}) {
+    SCOPED_TRACE(batch ? "batched delivery" : "exact delivery");
+    const RunDigest off = runSwitched(false, batch);
+    const RunDigest on = runSwitched(true, batch);
+    EXPECT_EQ(off, on);
+    EXPECT_GT(off.switches, 0u);  // the comparison exercised real switching
+  }
 }
 
 // Batched wire delivery coalesces per-packet delivery events, so the raw
-// event count legitimately drops — but nothing simulation-visible (clock,
-// wire bytes, switch count) may move.
+// event count legitimately drops.  In this 4-node cell nothing
+// simulation-visible (clock, wire bytes, switch count) moves; that is not
+// true of every cell, since fewer events can reorder same-instant ties
+// (see EveryObserverLeavesTheScheduleUnchanged).
 TEST(Observability, BatchedDeliveryIsBehaviourallyInvisible) {
   auto digest = [](bool batch) {
     ClusterConfig cfg = switchedConfig(/*trace=*/false);
@@ -138,6 +144,78 @@ TEST(Observability, BatchedDeliveryIsBehaviourallyInvisible) {
   EXPECT_LT(batched.fired, exact.fired);  // the batching actually engaged
   batched.fired = exact.fired;
   EXPECT_EQ(batched, exact);  // ...and changed nothing else
+}
+
+/// What an observer must not move: the clock, the event count, wire traffic,
+/// and every node's switch measurements.
+struct ScheduleDigest {
+  sim::SimTime end = 0;
+  std::uint64_t fired = 0;
+  std::uint64_t data_packets = 0;
+  std::uint64_t control_packets = 0;
+  // node, halt_ns, switch_ns, release_ns, valid send pkts, valid recv pkts
+  std::vector<std::array<std::uint64_t, 6>> switches;
+
+  bool operator==(const ScheduleDigest&) const = default;
+};
+
+// perfbench's gang_alltoall point n14_valid at seed 5, run as perfbench
+// runs it: eighth-quantum steps until every node reported four switches.
+// At t = 91,685,421 ns nodes 5 and 6 inject toward node 7 in the same
+// nanosecond, so the run depends on the order of same-instant events; an
+// observer that changed the delivery path (say, by turning batching off)
+// would shift every later send.
+ScheduleDigest runN14Valid(const std::function<void(ClusterConfig&)>& observe) {
+  ClusterConfig cfg;
+  cfg.nodes = 14;
+  cfg.policy = glue::BufferPolicy::kSwitchedValidOnly;
+  cfg.max_contexts = 2;
+  cfg.quantum = 40 * sim::kMillisecond;
+  cfg.seed = 5;
+  cfg.verify = false;
+  observe(cfg);
+  const sim::Duration quantum = cfg.quantum;
+  Cluster cluster(std::move(cfg));
+  for (int j = 0; j < 2; ++j) cluster.submit(14, bench::allToAllFactory(4096));
+  const std::size_t want = 4 * 14;
+  while (cluster.switchRecords().size() < want &&
+         cluster.sim().now() < sim::secToNs(2.0)) {
+    const sim::SimTime start = cluster.sim().now();
+    for (int k = 1; k <= 8; ++k) cluster.runUntil(start + quantum * k / 8);
+  }
+  ScheduleDigest d{cluster.sim().now(), cluster.sim().firedEvents(),
+                   cluster.fabric().stats().data_packets,
+                   cluster.fabric().stats().control_packets,
+                   {}};
+  for (const SwitchRecord& r : cluster.switchRecords())
+    d.switches.push_back({static_cast<std::uint64_t>(r.node),
+                          r.report.halt_ns, r.report.switch_ns,
+                          r.report.release_ns, r.report.valid_send_pkts,
+                          r.report.valid_recv_pkts});
+  return d;
+}
+
+TEST(Observability, EveryObserverLeavesTheScheduleUnchanged) {
+  const ScheduleDigest bare = runN14Valid([](ClusterConfig&) {});
+  ASSERT_GE(bare.switches.size(), 4u * 14u);
+  const std::vector<std::pair<const char*,
+                              std::function<void(ClusterConfig&)>>>
+      observers = {
+          {"trace", [](ClusterConfig& c) { c.trace = true; }},
+          {"packet_trace", [](ClusterConfig& c) { c.packet_trace = true; }},
+          {"verify", [](ClusterConfig& c) { c.verify = true; }},
+          {"causality_trace",
+           [](ClusterConfig& c) {
+             c.causality_trace = true;
+             c.causality_dump_path.clear();  // keep the records in memory
+           }},
+          {"flight_recorder",
+           [](ClusterConfig& c) { c.flight_recorder_depth = 1024; }},
+      };
+  for (const auto& [name, observe] : observers) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(runN14Valid(observe), bare);
+  }
 }
 
 TEST(Observability, CollectMetricsCoversEveryLayer) {

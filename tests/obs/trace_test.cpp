@@ -21,14 +21,19 @@ TEST(TraceRecorder, DisabledByDefaultAndRecordsNothing) {
   EXPECT_EQ(r.size(), 0u);
 }
 
+// The guard is the component's probe pointer (tested by the invisibility
+// tests) plus the recorder gate: a TraceProbe records only while enabled.
 TEST(TraceRecorder, TracingGuardChecksPointerAndGate) {
-  EXPECT_FALSE(tracing(nullptr));
   TraceRecorder r;
-  EXPECT_FALSE(tracing(&r));
+  TraceProbe probe(r);
+  probe.onNicStage(0, SwitchStage::kHaltBegin, HaltKind::kFlush, 3, 100);
+  EXPECT_EQ(r.size(), 0u);
   r.setEnabled(true);
-  EXPECT_TRUE(tracing(&r));
+  probe.onNicStage(0, SwitchStage::kHaltBegin, HaltKind::kFlush, 3, 100);
+  EXPECT_EQ(r.size(), 1u);
   r.setEnabled(false);
-  EXPECT_FALSE(tracing(&r));
+  probe.onNicStage(0, SwitchStage::kHaltBegin, HaltKind::kFlush, 3, 100);
+  EXPECT_EQ(r.size(), 1u);
 }
 
 TEST(TraceRecorder, SpanBuilderFillsFields) {
