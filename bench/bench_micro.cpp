@@ -4,9 +4,10 @@
 // the figure benches can simulate per wall-clock second.
 //
 // The BM_EventQueue* and BM_*Function groups are the engine's own perf
-// trajectory: schedule/fire, deep backlogs, in-place cancellation, and the
-// callable small-buffer optimization (a packet-forwarding closure is ~100
-// bytes, far beyond std::function's inline buffer).
+// trajectory: schedule/fire, deep backlogs, in-place cancellation, zero-
+// delay and same-instant scheduling, and the callable small-buffer
+// optimization (a packet-forwarding closure is ~100 bytes, far beyond
+// std::function's inline buffer).
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -103,6 +104,54 @@ void BM_EventQueueScheduleCancel(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * depth);
 }
 BENCHMARK(BM_EventQueueScheduleCancel)->Arg(1024)->Arg(16384);
+
+// The same-instant lane's target shape: a handler that reschedules itself
+// with zero delay (a NIC send scan, a process step) while a backlog of 64
+// future events stays queued.  Neither this nor the fan-out case below
+// feeds bench::perf(), so BENCH_micro's events_per_sec, which the CI gate
+// reads, counts the events of the same benchmarks as before.
+struct ZeroDelayLink {
+  sim::Simulator* s;
+  int* left;
+  void operator()() const {
+    if (--*left > 0) s->schedule(0, *this);
+  }
+};
+
+void BM_EventQueueZeroDelayChain(benchmark::State& state) {
+  constexpr int kChain = 64;
+  sim::Simulator s;
+  std::uint64_t sink = 0;
+  for (int i = 0; i < 64; ++i)
+    s.schedule(static_cast<sim::Duration>(1'000'000'000 + i),
+               [&sink] { ++sink; });
+  int left = 0;
+  for (auto _ : state) {
+    left = kChain;
+    s.schedule(0, ZeroDelayLink{&s, &left});
+    s.runSteps(kChain);
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(state.iterations() * kChain);
+}
+BENCHMARK(BM_EventQueueZeroDelayChain);
+
+// One event fans out 64 children at its own instant (a switch releasing
+// every context, a broadcast).
+void BM_EventQueueSameInstantFanout(benchmark::State& state) {
+  constexpr int kFanout = 64;
+  sim::Simulator s;
+  std::uint64_t sink = 0;
+  for (auto _ : state) {
+    s.schedule(1, [&s, &sink] {
+      for (int i = 0; i < kFanout; ++i) s.schedule(0, [&sink] { ++sink; });
+    });
+    s.run();
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(state.iterations() * (kFanout + 1));
+}
+BENCHMARK(BM_EventQueueSameInstantFanout);
 
 // Bursty schedule/fire — the shape the figure benches produce (all-to-all
 // windows of packet events spread across a horizon), and the ladder queue's

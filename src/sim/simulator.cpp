@@ -2,7 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
+#include <memory>
 
 #include "util/check.hpp"
 
@@ -22,27 +22,31 @@ void Simulator::setQueueKind(QueueKind kind) {
   kind_ = kind;
 }
 
-EventHandle Simulator::scheduleAt(SimTime t, Action fn) {
+std::uint32_t Simulator::growSlab() {
+  const auto slot = static_cast<std::uint32_t>(seqs_.size());
+  if ((slot & kChunkMask) == 0) {
+    // gclint: allow(hot-make-shared): one chunk per 256 new slots; the slab
+    // never shrinks, so a steady state allocates nothing
+    chunks_.push_back(std::make_unique<Action[]>(kChunkMask + 1));
+  }
+  seqs_.emplace_back();
+  links_.emplace_back();
+  return slot;
+}
+
+EventHandle Simulator::enqueue(SimTime t, std::uint32_t slot) {
   if (t < now_) {
     ++past_clamps_;
     t = now_;
   }
   const std::uint64_t seq = next_seq_++;
-  std::uint32_t slot;
-  if (free_head_ != kNil) {
-    slot = free_head_;
-    free_head_ = links_[slot];
-  } else {
-    slot = static_cast<std::uint32_t>(times_.size());
-    times_.emplace_back();
-    seqs_.emplace_back();
-    links_.emplace_back();
-    actions_.emplace_back();
-  }
-  times_[slot] = t;
   seqs_[slot] = seq;
-  actions_[slot] = std::move(fn);
-  if (kind_ == QueueKind::kLadder && t >= ladder_.bottomLimit()) {
+  if (t == now_ && tie_salt_ == 0) {
+    // Fires after everything already due at now(): see the header comment.
+    links_[slot] = kInLane;
+    lane_.push_back(LaneEntry{seq, slot});
+    ++lane_live_;
+  } else if (kind_ == QueueKind::kLadder && t >= ladder_.bottomLimit()) {
     // A ladder holding only stale entries (every resident was cancelled)
     // can be dropped wholesale; this bounds the garbage a schedule-then-
     // cancel workload can accumulate.
@@ -51,7 +55,7 @@ EventHandle Simulator::scheduleAt(SimTime t, Action fn) {
     ladder_.insert(t, seq, slot);
     ++ladder_live_;
   } else {
-    heap_.push_back(HeapEntry{t, slot});
+    heap_.push_back(HeapEntry{t, tieKey(seq), slot});
     siftUp(heap_.size() - 1);
   }
   const std::uint64_t depth = pendingEvents();
@@ -73,10 +77,17 @@ bool Simulator::cancel(EventHandle h) {
     // Lazy cancel: free the slot now; the ladder entry goes stale (its seq
     // no longer matches) and is filtered out at transfer time.
     --ladder_live_;
+  } else if (link == kInLane) {
+    // Lazy as well: popLane() skips the stale entry.
+    if (--lane_live_ == 0) {
+      lane_.clear();
+      lane_head_ = 0;
+    }
   } else {
     removeAt(link);
   }
-  freeSlot(h.slot);
+  seqs_[h.slot] = 0;
+  recycle(h.slot);
   ++cancels_;
   if (causality_ != nullptr) causality_->onCancel(h.id);
   return true;
@@ -126,9 +137,8 @@ void Simulator::removeAt(std::size_t pos) {
   }
 }
 
-void Simulator::freeSlot(std::uint32_t slot) {
-  seqs_[slot] = 0;
-  actions_[slot].reset();
+void Simulator::recycle(std::uint32_t slot) {
+  action(slot).reset();
   links_[slot] = free_head_;
   free_head_ = slot;
 }
@@ -141,7 +151,7 @@ void Simulator::refillBottom() {
     for (const LadderEntry& e : scratch_) {
       if (seqs_[e.slot] != e.seq) continue;  // lazily-cancelled resident
       links_[e.slot] = static_cast<std::uint32_t>(heap_.size());
-      heap_.push_back(HeapEntry{e.time, e.slot});
+      heap_.push_back(HeapEntry{e.time, tieKey(e.seq), e.slot});
       --ladder_live_;
       ++ladder_transfers_;
     }
@@ -155,6 +165,7 @@ void Simulator::refillBottom() {
 }
 
 SimTime Simulator::nextEventTime() {
+  if (lane_live_ != 0) return now_;
   if (heap_.empty()) {
     if (ladder_live_ == 0) return kNever;
     refillBottom();
@@ -162,19 +173,37 @@ SimTime Simulator::nextEventTime() {
   return heap_[0].time;
 }
 
+std::uint32_t Simulator::popLane() {
+  for (;;) {
+    const LaneEntry e = lane_[lane_head_++];
+    if (seqs_[e.slot] != e.seq) continue;  // lazily-cancelled entry
+    if (--lane_live_ == 0) {
+      lane_.clear();
+      lane_head_ = 0;
+    }
+    return e.slot;
+  }
+}
+
 void Simulator::fireNext() {
-  if (heap_.empty()) refillBottom();
-  const HeapEntry top = heap_[0];
-  // The slot's seq is gone after freeSlot(); latch it only when profiling.
-  const std::uint64_t seq = causality_ != nullptr ? seqs_[top.slot] : 0;
-  now_ = top.time;
-  // Move the action out and recycle the slot before invoking: the callback
-  // may schedule (growing the slab) or cancel, and must observe its own
-  // event as already fired.
-  Action fn = std::move(actions_[top.slot]);
-  removeAt(0);
-  freeSlot(top.slot);
+  if (heap_.empty() && ladder_live_ != 0) refillBottom();
+  std::uint32_t slot;
+  if (lane_live_ != 0 && (heap_.empty() || heap_[0].time != now_)) {
+    slot = popLane();
+  } else {
+    slot = heap_[0].slot;
+    now_ = heap_[0].time;
+    removeAt(0);
+  }
+  // The slot's seq is gone once cleared; latch it only when profiling.
+  const std::uint64_t seq = causality_ != nullptr ? seqs_[slot] : 0;
+  // The action runs where it lies.  Clearing the seq first makes the event
+  // already fired to cancel(); the slot stays off the free list until the
+  // action returns, and its chunk never moves, so the action may schedule
+  // (growing the slab) or cancel while it runs.
+  seqs_[slot] = 0;
   ++fired_;
+  Action& fn = action(slot);
   if (causality_ != nullptr) {
     // Stamp this event as the parent of everything its action schedules.
     firing_seq_ = seq;
@@ -185,6 +214,7 @@ void Simulator::fireNext() {
   } else {
     fn();
   }
+  recycle(slot);
   // Event boundary: the action (and everything it ran synchronously) is
   // done, the next event has not started.  Observers are read-only.
   if (observer_ != nullptr) observer_->onEventBoundary(now_, fired_);

@@ -6,20 +6,37 @@
 // deterministic.  Events may be cancelled via the EventHandle returned at
 // scheduling time.
 //
-// Engine layout: event state lives in a structure-of-arrays slab — parallel
-// times/seqs/links/actions columns indexed by slot, recycled through a free
-// list threaded across the links column, so steady-state scheduling performs
-// no allocation.  The firing and sifting loops touch only the packed
-// (time, slot) heap entries plus the seqs column on timestamp ties; the
-// action bodies (the wide column) are read once per fire.  Each live slot's
-// links entry remembers its heap position, so cancel() removes its entry in
-// place in O(log n) — no tombstones and no hash lookups on the firing path —
-// and a handle is live exactly when the slot it points at still carries its
-// sequence number, an O(1) check.  Actions are stored in a small-buffer-
-// optimized callable (util::SboFunction), keeping packet-forwarding closures
-// inline in the slab instead of behind a per-event heap allocation.
+// Engine layout: event state lives in a structure-of-arrays slab indexed by
+// slot — a seqs column, a links column, and the actions, which sit in fixed
+// 256-slot chunks that never move once allocated.  Slots are recycled
+// through a free list threaded across the links column, so steady-state
+// scheduling performs no allocation.  Each pending slot is queued in one of
+// three places:
+//   * the heap — an indexed 4-ary min-heap of packed (time, key, slot)
+//     entries.  The key is the event's tie key (its seq, or a salted
+//     bijection of it; see setTieSalt), stored inline, so the sift loops
+//     order entries without touching the slab.  The slot's links entry
+//     remembers its heap position, so cancel() removes it in place in
+//     O(log n) — no tombstones and no hash lookups on the firing path;
+//   * the ladder (kLadder only; see below);
+//   * the same-instant lane — an append-only FIFO of (seq, slot) for events
+//     scheduled at now() (past-clamped ones included) while the tie salt is
+//     0.  They skip the heap entirely.  Every heap or ladder event due at
+//     now() was scheduled before the clock reached now(), so its seq is
+//     smaller than any lane entry's: the lane fires only once nothing else
+//     is due at now(), which is exactly the (time, seq) order.
+// The ladder and the lane cancel lazily: the slot is freed at once and the
+// stale entry (its seq no longer matches the slot) is skipped later.  A
+// handle is live exactly when the slot it points at still carries its
+// sequence number, an O(1) check.  scheduleAt() constructs the action
+// directly in its slab slot (util::SboFunction::emplace), keeping packet-
+// forwarding closures inline instead of behind a per-event heap allocation,
+// and fireNext() invokes it where it lies: the slot's seq is cleared first,
+// so the running event is already fired to cancel(), and the slot is only
+// recycled after the action returns — chunks never move, so the action may
+// schedule freely while it runs.
 //
-// Two queue disciplines order the slots (setQueueKind):
+// Two queue disciplines order the non-lane slots (setQueueKind):
 //   * kHeap    — one indexed 4-ary min-heap over every pending event.
 //   * kLadder  — a ladder queue (sim/ladder_queue.hpp): far-future events
 //     take an O(1) bucket append and only reach the 4-ary heap when their
@@ -30,6 +47,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -133,12 +151,20 @@ class Simulator {
 
   /// Schedule `fn` to run at absolute time `t`.  Scheduling into the past is
   /// a programming error; the event is clamped to now() and counted in
-  /// pastScheduleClamps() so tests can assert none occurred.
-  EventHandle scheduleAt(SimTime t, Action fn);
+  /// pastScheduleClamps() so tests can assert none occurred.  `fn` is any
+  /// void() callable, constructed directly in the event's slab slot; an
+  /// Action rvalue is moved in.
+  template <typename F>
+  EventHandle scheduleAt(SimTime t, F&& fn) {
+    const std::uint32_t slot = allocSlot();
+    action(slot).emplace(std::forward<F>(fn));
+    return enqueue(t, slot);
+  }
 
   /// Schedule `fn` to run `delay` ns from now.
-  EventHandle schedule(Duration delay, Action fn) {
-    return scheduleAt(now_ + delay, std::move(fn));
+  template <typename F>
+  EventHandle schedule(Duration delay, F&& fn) {
+    return scheduleAt(now_ + delay, std::forward<F>(fn));
   }
 
   /// Cancel a pending event.  Returns true if the event was still pending;
@@ -158,10 +184,14 @@ class Simulator {
   std::uint64_t runSteps(std::uint64_t n);
 
   /// True if no live events are pending.
-  bool empty() const { return heap_.empty() && ladder_live_ == 0; }
+  bool empty() const {
+    return heap_.empty() && ladder_live_ == 0 && lane_live_ == 0;
+  }
 
   /// Number of pending (non-cancelled) events.
-  std::uint64_t pendingEvents() const { return heap_.size() + ladder_live_; }
+  std::uint64_t pendingEvents() const {
+    return heap_.size() + ladder_live_ + lane_live_;
+  }
 
   /// Total events fired since construction.
   std::uint64_t firedEvents() const { return fired_; }
@@ -202,12 +232,13 @@ class Simulator {
   /// The same-timestamp tiebreak key is the scheduling sequence number:
   /// events at equal times fire in the order they were scheduled.  A
   /// non-zero salt deterministically permutes that order — ties compare by
-  /// splitmix64(seq ^ salt) first, seq last — so the interleaving explorer
-  /// (tools/gcverify_explore) can exercise alternative legal orderings of
-  /// logically concurrent events.  Every salt still yields a total order
-  /// and hence a fully reproducible run; salt 0 restores FIFO.  Must be
-  /// called while the queue is empty (changing the comparator under a
-  /// populated heap would corrupt it).
+  /// splitmix64(seq ^ salt), a bijection, so keys never collide — and the
+  /// interleaving explorer (tools/gcverify_explore) can exercise alternative
+  /// legal orderings of logically concurrent events.  Every salt still
+  /// yields a total order and hence a fully reproducible run; salt 0
+  /// restores FIFO (and enables the same-instant lane).  Must be called
+  /// while the queue is empty (changing the keys under a populated heap
+  /// would corrupt it).
   void setTieSalt(std::uint64_t salt);
 
   /// The active same-timestamp permutation salt (0 = natural FIFO order).
@@ -223,31 +254,39 @@ class Simulator {
 
  private:
   static constexpr std::uint32_t kNil = 0xffffffffu;
-  // links_ sentinel for "parked in the ladder, not in the heap".
+  // links_ sentinels for "parked in the ladder" and "queued in the lane".
   static constexpr std::uint32_t kInLadder = 0xfffffffeu;
+  static constexpr std::uint32_t kInLane = 0xfffffffdu;
+  // Actions live in fixed chunks of 2^kChunkShift slots; a chunk never
+  // moves, so an action can run in place while the slab grows.
+  static constexpr std::uint32_t kChunkShift = 8;
+  static constexpr std::uint32_t kChunkMask = (1u << kChunkShift) - 1;
 
-  // Packed heap entry: the sift loops compare times without touching the
-  // slab; the slot is dereferenced (seqs column) only on a timestamp tie.
+  // Packed heap entry: the sift loops compare (time, key) without touching
+  // the slab.
   struct HeapEntry {
     SimTime time;
+    std::uint64_t key;
     std::uint32_t slot;
   };
 
-  // (time, seq) strict weak order between heap entries; seq is unique, so
+  // Same-instant lane entry; `seq` revalidates the slot (stale after a lazy
+  // cancel).
+  struct LaneEntry {
+    std::uint64_t seq;
+    std::uint32_t slot;
+  };
+
+  // (time, key) strict weak order between heap entries; keys are unique, so
   // this is a total order and the firing sequence is fully deterministic.
-  // With a non-zero tie salt, same-time events order by a salted hash of
-  // seq instead (seq as the final tie), which is still total — see
-  // setTieSalt().
-  bool before(const HeapEntry& a, const HeapEntry& b) const {
+  static bool before(const HeapEntry& a, const HeapEntry& b) {
     if (a.time != b.time) return a.time < b.time;
-    const std::uint64_t sa = seqs_[a.slot];
-    const std::uint64_t sb = seqs_[b.slot];
-    if (tie_salt_ != 0) {
-      const std::uint64_t ka = mixSeq(sa);
-      const std::uint64_t kb = mixSeq(sb);
-      if (ka != kb) return ka < kb;
-    }
-    return sa < sb;
+    return a.key < b.key;
+  }
+
+  // The heap key of event `seq`, computed once when it enters the heap.
+  std::uint64_t tieKey(std::uint64_t seq) const {
+    return tie_salt_ == 0 ? seq : mixSeq(seq);
   }
 
   // splitmix64 finalizer over (seq ^ salt): a cheap bijective mixer, so
@@ -260,34 +299,55 @@ class Simulator {
     return z ^ (z >> 31);
   }
 
+  Action& action(std::uint32_t slot) {
+    return chunks_[slot >> kChunkShift][slot & kChunkMask];
+  }
+
+  // Take a slot off the free list, growing the slab when it is empty.  The
+  // slot's action is empty and its seq is 0 until enqueue().
+  std::uint32_t allocSlot() {
+    if (free_head_ == kNil) return growSlab();
+    const std::uint32_t slot = free_head_;
+    free_head_ = links_[slot];
+    return slot;
+  }
+  // Append a slot to the slab (and, every 256 slots, an action chunk).
+  std::uint32_t growSlab();
+  // Stamp `slot` with the next seq and queue it at `t`.
+  EventHandle enqueue(SimTime t, std::uint32_t slot);
   void siftUp(std::size_t i);
   void siftDown(std::size_t i);
   // Remove the heap entry at position `pos`, restoring the heap property.
   void removeAt(std::size_t pos);
-  // Return a slot to the free list and release its action.
-  void freeSlot(std::uint32_t slot);
+  // Release a slot's action and return the slot to the free list.  The
+  // caller has already zeroed its seq.
+  void recycle(std::uint32_t slot);
   // Transfer the imminent ladder span into the (empty) heap, filtering
   // lazily-cancelled entries.  Precondition: heap empty, ladder_live_ > 0.
   void refillBottom();
   // Earliest pending event time (kNever when drained); refills the heap
   // from the ladder as a side effect.
   SimTime nextEventTime();
+  // Pops the lane's oldest live entry.  Precondition: lane_live_ > 0.
+  std::uint32_t popLane();
   // Fires the earliest live event.  Precondition: !empty().
   void fireNext();
 
   // Slab columns (structure-of-arrays), indexed by slot.  seqs_[s] == 0
-  // marks a free slot.  links_[s] is the slot's heap position while queued
-  // in the heap, kInLadder while parked in the ladder, and the next free
-  // slot index while on the free list.
-  std::vector<SimTime> times_;
+  // marks a free slot or the one whose action is running.  links_[s] is the
+  // slot's heap position while queued in the heap, kInLadder / kInLane while
+  // parked there, and the next free slot index while on the free list.
   std::vector<std::uint64_t> seqs_;
   std::vector<std::uint32_t> links_;
-  std::vector<Action> actions_;
+  std::vector<std::unique_ptr<Action[]>> chunks_;
 
   std::vector<HeapEntry> heap_;  // 4-ary min-heap by before()
   LadderQueue ladder_;
   std::uint64_t ladder_live_ = 0;        // non-cancelled ladder residents
   std::vector<LadderEntry> scratch_;     // transfer staging, reused
+  std::vector<LaneEntry> lane_;          // same-instant FIFO (salt 0 only)
+  std::size_t lane_head_ = 0;            // next lane_ entry to fire
+  std::uint64_t lane_live_ = 0;          // non-cancelled lane entries
   QueueKind kind_ = QueueKind::kHeap;
   std::uint32_t free_head_ = kNil;
   SimTime now_ = 0;

@@ -6,7 +6,9 @@
 // blows through that on every schedule().  SboFunction keeps closures up to
 // `Capacity` bytes inline in the event node and only falls back to the heap
 // for oversized or over-aligned callables.  Move-only (the event queue never
-// copies actions), empty-callable calls are a checked error.
+// copies actions), empty-callable calls are a checked error.  emplace()
+// builds a closure directly in an existing SboFunction, which lets the event
+// slab construct each action in the slot it will later fire from.
 #pragma once
 
 #include <cstddef>
@@ -35,16 +37,7 @@ class SboFunction<R(Args...), Capacity> {
                 std::is_invocable_r_v<R, std::decay_t<F>&, Args...>>>
   // NOLINT gclint: allow(hyg-explicit-ctor): implicit conversion from any
   // callable mirrors std::function; explicit would break lambda call sites.
-  SboFunction(F&& f) {
-    using D = std::decay_t<F>;
-    if constexpr (fitsInline<D>()) {
-      ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
-      ops_ = inlineOps<D>();
-    } else {
-      *reinterpret_cast<D**>(storage_) = new D(std::forward<F>(f));
-      ops_ = heapOps<D>();
-    }
-  }
+  SboFunction(F&& f) { construct(std::forward<F>(f)); }
 
   SboFunction(SboFunction&& o) noexcept { moveFrom(o); }
   SboFunction& operator=(SboFunction&& o) noexcept {
@@ -75,6 +68,25 @@ class SboFunction<R(Args...), Capacity> {
   R operator()(Args... args) {
     GC_CHECK_MSG(ops_ != nullptr, "call through empty SboFunction");
     return ops_->invoke(storage_, std::forward<Args>(args)...);
+  }
+
+  /// Replace the held callable with `f`, constructed directly in this
+  /// object's storage: unlike assigning a temporary SboFunction, the closure
+  /// is never relocated.  The previous callable (if any) is destroyed first.
+  /// An SboFunction rvalue is moved in, leaving it empty.
+  template <typename F>
+  void emplace(F&& f) {
+    using D = std::decay_t<F>;
+    if constexpr (std::is_same_v<D, SboFunction>) {
+      static_assert(!std::is_lvalue_reference_v<F>,
+                    "SboFunction is move-only; emplace an rvalue");
+      *this = std::move(f);
+    } else {
+      static_assert(std::is_invocable_r_v<R, D&, Args...>,
+                    "emplaced callable does not match the signature");
+      reset();
+      construct(std::forward<F>(f));
+    }
   }
 
   /// Destroy the held callable (if any) and return to the empty state.
@@ -127,6 +139,19 @@ class SboFunction<R(Args...), Capacity> {
         [](void* s) { delete *static_cast<D**>(s); },
     };
     return &ops;
+  }
+
+  // Precondition: empty.
+  template <typename F>
+  void construct(F&& f) {
+    using D = std::decay_t<F>;
+    if constexpr (fitsInline<D>()) {
+      ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
+      ops_ = inlineOps<D>();
+    } else {
+      *reinterpret_cast<D**>(storage_) = new D(std::forward<F>(f));
+      ops_ = heapOps<D>();
+    }
   }
 
   void moveFrom(SboFunction& o) noexcept {

@@ -11,6 +11,9 @@
 #include <utility>
 #include <vector>
 
+#include "net/packet.hpp"
+#include "sim/time.hpp"
+
 namespace gangcomm::sim {
 namespace {
 
@@ -356,6 +359,217 @@ TEST(Simulator, CancelAndScheduleFromCallback) {
   s.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
   EXPECT_EQ(s.firedEvents(), 65u);  // the t=5 event + 64 nested; doomed died
+}
+
+// The action runs in place in its slab slot; scheduling more events than one
+// action chunk holds while it runs must leave its captures where they were
+// (under ASan, an action relocated mid-run reads freed memory here).
+TEST(Simulator, RunningActionSurvivesSlabGrowth) {
+  struct Seen {
+    Simulator s;
+    std::uint64_t seq = 0;
+    std::uint32_t bytes = 0;
+    int children = 0;
+  } seen;
+  net::Packet p{};
+  p.payload_bytes = 1234;
+  p.seq = 0xfeedfacecafebeefull;
+  p.dst_node = 7;
+  auto action = [&seen, p] {
+    for (int i = 0; i < 1000; ++i)
+      seen.s.schedule(0, [&seen] { ++seen.children; });
+    seen.seq = p.seq;
+    seen.bytes = p.payload_bytes + p.dst_node;
+  };
+  // Inline in the slot, not heap-held: otherwise the test proves nothing.
+  static_assert(sizeof(action) <= 112);  // Simulator::Action's capacity
+  seen.s.schedule(1, std::move(action));
+  seen.s.run();
+  EXPECT_EQ(seen.seq, 0xfeedfacecafebeefull);
+  EXPECT_EQ(seen.bytes, 1241u);
+  EXPECT_EQ(seen.children, 1000);
+}
+
+// A running event is already fired: cancelling its own handle from inside
+// its action is a no-op, on the heap path, the ladder, and the same-instant
+// lane, and at any tie salt.
+TEST(Simulator, CancellingOwnHandleWhileFiringReturnsFalse) {
+  for (const QueueKind kind : {QueueKind::kHeap, QueueKind::kLadder}) {
+    for (const std::uint64_t salt : {0ull, 0x5eedull}) {
+      for (const Duration delay : {Duration{0}, Duration{5}}) {
+        Simulator s;
+        s.setQueueKind(kind);
+        s.setTieSalt(salt);
+        EventHandle self;
+        int verdicts = 0;
+        bool cancelled = true;
+        self = s.schedule(delay, [&] {
+          cancelled = s.cancel(self);
+          ++verdicts;
+        });
+        s.schedule(delay, [] {});  // a same-instant sibling stays pending
+        s.run();
+        EXPECT_EQ(verdicts, 1);
+        EXPECT_FALSE(cancelled);
+        EXPECT_EQ(s.cancelledEvents(), 0u);
+        EXPECT_EQ(s.firedEvents(), 2u);
+        EXPECT_FALSE(s.cancel(self));  // and stays dead afterwards
+      }
+    }
+  }
+}
+
+// Lockstep reference model for callbacks that schedule and cancel: every
+// fired event must be the reference's earliest pending one under the
+// documented order — (time, seq) at salt 0, (time, splitmix64(seq ^ salt))
+// otherwise.  Callbacks schedule zero-delay and same-instant children,
+// past-clamped ones and near-future ones, and cancel recent siblings in the
+// middle of an instant, so the same-instant lane, its lazy cancel and its
+// interleaving with heap/ladder events due at the same instant all get
+// exercised.
+class CallbackStress {
+ public:
+  CallbackStress(QueueKind kind, std::uint64_t salt)
+      : salt_(salt), rng_(0xC0FFEE ^ salt) {
+    s_.setQueueKind(kind);
+    s_.setTieSalt(salt);
+  }
+
+  void run() {
+    for (int round = 0; round < 300; ++round) {
+      for (std::uint64_t roots = rng_() % 3; roots > 0; --roots)
+        schedule(s_.now() + rng_() % 20, false);
+      switch (rng_() % 4) {
+        case 0:
+          s_.runSteps(rng_() % 16);
+          break;
+        case 1: {
+          const SimTime before = s_.now();
+          const SimTime t = before + rng_() % 30;
+          s_.runUntil(t);
+          for (const RefEvent& e : ref_) ASSERT_GT(e.time, t);
+          ASSERT_EQ(s_.now(), std::max(before, t));
+          break;
+        }
+        case 2:
+          cancelRecent();
+          break;
+        default:
+          if (rng_() % 8 == 0) s_.run();
+          break;
+      }
+      ASSERT_EQ(s_.pendingEvents(), ref_.size());
+      ASSERT_EQ(s_.empty(), ref_.empty());
+    }
+    s_.run();
+    EXPECT_TRUE(ref_.empty());
+    EXPECT_TRUE(s_.empty());
+    EXPECT_EQ(s_.firedEvents(), fired_);
+    EXPECT_EQ(s_.pastScheduleClamps(), clamps_);
+    EXPECT_GT(fired_, 2000u);  // the workload really ran
+  }
+
+ private:
+  struct RefEvent {
+    SimTime time;
+    std::uint64_t key;
+    std::uint64_t seq;
+  };
+
+  std::uint64_t key(std::uint64_t seq) const {
+    if (salt_ == 0) return seq;
+    std::uint64_t z = (seq ^ salt_) + 0x9e3779b97f4a7c15ull;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  }
+
+  // `relative` goes through schedule(delay) instead of scheduleAt().
+  void schedule(SimTime at, bool relative) {
+    const std::uint64_t seq = next_seq_++;
+    SimTime t = at;
+    if (t < s_.now()) {
+      ++clamps_;
+      t = s_.now();
+    }
+    const auto fire = [this, seq] { onFire(seq); };
+    const EventHandle h = relative ? s_.schedule(at - s_.now(), fire)
+                                   : s_.scheduleAt(at, fire);
+    ASSERT_EQ(h.id, seq);
+    ref_.push_back({t, key(seq), seq});
+    handles_.push_back(h);
+  }
+
+  // Cancels one of the last few handles: often a pending sibling at the
+  // current instant, sometimes a fired or already-cancelled one.
+  void cancelRecent() {
+    if (handles_.empty()) return;
+    const std::size_t back = std::min<std::size_t>(handles_.size(), 6);
+    const EventHandle h = handles_[handles_.size() - 1 - rng_() % back];
+    const auto it =
+        std::find_if(ref_.begin(), ref_.end(),
+                     [&h](const RefEvent& e) { return e.seq == h.id; });
+    const bool live = it != ref_.end();
+    if (live) ref_.erase(it);
+    EXPECT_EQ(s_.cancel(h), live);
+  }
+
+  void onFire(std::uint64_t seq) {
+    const auto it = std::min_element(
+        ref_.begin(), ref_.end(), [](const RefEvent& a, const RefEvent& b) {
+          return a.time != b.time ? a.time < b.time : a.key < b.key;
+        });
+    ASSERT_NE(it, ref_.end());
+    ASSERT_EQ(it->seq, seq);
+    ASSERT_EQ(it->time, s_.now());
+    ref_.erase(it);
+    ++fired_;
+    EXPECT_FALSE(s_.cancel(handles_[seq - 1]));  // already fired
+    if (next_seq_ > 6000) return;  // bound the cascade
+    for (std::uint64_t n = rng_() % 4; n > 0; --n) {
+      const SimTime now = s_.now();
+      switch (rng_() % 6) {
+        case 0:
+          schedule(now, true);  // zero delay
+          break;
+        case 1:
+          schedule(now, false);  // same instant, absolute
+          break;
+        case 2:
+          schedule(now > 3 ? now - 3 : 0, false);  // past: clamped
+          break;
+        case 3:
+          cancelRecent();
+          break;
+        default:
+          schedule(now + 1 + rng_() % 10, rng_() % 2 == 0);
+          break;
+      }
+    }
+  }
+
+  Simulator s_;
+  std::uint64_t salt_;
+  std::mt19937_64 rng_;
+  std::vector<RefEvent> ref_;
+  std::vector<EventHandle> handles_;  // index seq - 1; every one ever made
+  std::uint64_t next_seq_ = 1;
+  std::uint64_t fired_ = 0;
+  std::uint64_t clamps_ = 0;
+};
+
+TEST(Simulator, CallbackStressMatchesReferenceModel) {
+  for (const std::uint64_t salt : {0ull, 0xA5A5F00Dull}) {
+    SCOPED_TRACE(salt);
+    CallbackStress(QueueKind::kHeap, salt).run();
+  }
+}
+
+TEST(Simulator, CallbackStressMatchesReferenceModelLadder) {
+  for (const std::uint64_t salt : {0ull, 0xA5A5F00Dull}) {
+    SCOPED_TRACE(salt);
+    CallbackStress(QueueKind::kLadder, salt).run();
+  }
 }
 
 // ---- Same-timestamp tiebreak (setTieSalt) -----------------------------------
