@@ -63,9 +63,6 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg), mem_(cfg.mem) {
   if (verifier_) fanout_.add(verifier_.get());
   probe_ = fanout_.seam();
 
-  if (cfg_.share_discard_mode &&
-      cfg_.flush_protocol == glue::FlushProtocol::kBroadcast)
-    cfg_.flush_protocol = glue::FlushProtocol::kLocalOnly;
   const bool no_flush =
       cfg_.flush_protocol != glue::FlushProtocol::kBroadcast;
   if (cfg_.flush_protocol == glue::FlushProtocol::kAckQuiesce) {

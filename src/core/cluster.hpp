@@ -92,9 +92,6 @@ struct ClusterConfig {
   /// non-broadcast protocols imply NIC id-check discards and need
   /// fm.enable_retransmit to complete jobs.
   glue::FlushProtocol flush_protocol = glue::FlushProtocol::kBroadcast;
-  /// Back-compat convenience for the SHARE ablation: equivalent to
-  /// flush_protocol = kLocalOnly.
-  bool share_discard_mode = false;
   /// Observability: record structured trace events in every subsystem.
   /// Like every observer below it is an obs::Probe consumer, so enabling it
   /// cannot change simulation results, event count included.
@@ -140,8 +137,8 @@ struct ClusterConfig {
   bool verify = GANGCOMM_VERIFY_DEFAULT != 0;
   /// Same-timestamp event permutation salt (sim::Simulator::setTieSalt),
   /// installed before any event is scheduled.  0 = natural FIFO tiebreak.
-  /// The interleaving explorer (tools/gcverify_explore) sweeps this to
-  /// exercise alternative legal orderings of logically concurrent events.
+  /// tools/gcsweep sweeps this to exercise alternative legal orderings of
+  /// logically concurrent events.
   std::uint64_t tie_salt = 0;
   /// Event-queue structure (sim::Simulator::setQueueKind).  The ladder queue
   /// amortizes bursty schedules to O(1) per event and fires in exactly the

@@ -232,9 +232,9 @@ class Simulator {
   /// The same-timestamp tiebreak key is the scheduling sequence number:
   /// events at equal times fire in the order they were scheduled.  A
   /// non-zero salt deterministically permutes that order — ties compare by
-  /// splitmix64(seq ^ salt), a bijection, so keys never collide — and the
-  /// interleaving explorer (tools/gcverify_explore) can exercise alternative
-  /// legal orderings of logically concurrent events.  Every salt still
+  /// splitmix64(seq ^ salt), a bijection, so keys never collide — and
+  /// tools/gcsweep can exercise alternative legal orderings of logically
+  /// concurrent events.  Every salt still
   /// yields a total order and hence a fully reproducible run; salt 0
   /// restores FIFO (and enables the same-instant lane).  Must be called
   /// while the queue is empty (changing the keys under a populated heap

@@ -85,7 +85,7 @@ TEST(CollectivesGang, ShareModeWithRetransmitStaysExact) {
   cfg.nodes = 4;
   cfg.max_contexts = 2;
   cfg.quantum = 20 * sim::kMillisecond;
-  cfg.share_discard_mode = true;
+  cfg.flush_protocol = glue::FlushProtocol::kLocalOnly;
   cfg.fm.enable_retransmit = true;
   Cluster cluster(cfg);
   const net::JobId j1 = cluster.submit(4, collectiveFactory(60));

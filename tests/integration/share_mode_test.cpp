@@ -36,7 +36,7 @@ ClusterConfig shareConfig() {
   cfg.policy = glue::BufferPolicy::kSwitchedValidOnly;
   cfg.max_contexts = 2;
   cfg.quantum = 50 * sim::kMillisecond;
-  cfg.share_discard_mode = true;
+  cfg.flush_protocol = glue::FlushProtocol::kLocalOnly;
   cfg.fm.enable_retransmit = true;
   return cfg;
 }
@@ -110,7 +110,7 @@ TEST(ShareMode, FlushProtocolAvoidsDiscardsEntirely) {
   // Control: identical workload under the paper's flush — zero discards,
   // zero retransmissions, even with the retransmit layer armed.
   ClusterConfig cfg = shareConfig();
-  cfg.share_discard_mode = false;  // paper's protocol
+  cfg.flush_protocol = glue::FlushProtocol::kBroadcast;  // paper's protocol
   Cluster cluster(cfg);
   auto factory = [](Process::Env env) -> std::unique_ptr<Process> {
     return std::make_unique<AllToAllWorker>(

@@ -1,7 +1,6 @@
 #include "analyze.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -13,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/json_reader.hpp"
 #include "obs/gcprof.hpp"
 #include "sim/simulator.hpp"
 #include "util/table.hpp"
@@ -21,187 +21,8 @@ namespace gangcomm::gcprof_tool {
 
 namespace {
 
-// ---- Minimal JSON reader ----------------------------------------------------
-// Same shape as the gctrace reader: objects keep field order (vector of
-// pairs), numbers stay doubles (every value gcprof writes fits double's
-// 53-bit integer range exactly).
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<JsonValue> items;
-  std::vector<std::pair<std::string, JsonValue>> fields;
-
-  const JsonValue* find(const char* key) const {
-    for (const auto& [k, v] : fields)
-      if (k == key) return &v;
-    return nullptr;
-  }
-  std::int64_t asI64(std::int64_t fallback = 0) const {
-    return kind == Kind::kNumber
-               ? static_cast<std::int64_t>(std::llround(number))
-               : fallback;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  JsonValue parse() {
-    JsonValue v = parseValue();
-    skipWs();
-    if (pos_ != text_.size()) fail("trailing characters after JSON value");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const char* what) const {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "JSON error at offset %zu: %s", pos_,
-                  what);
-    throw std::runtime_error(buf);
-  }
-
-  void skipWs() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skipWs();
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail("unexpected character");
-    ++pos_;
-  }
-
-  JsonValue parseValue() {
-    const char c = peek();
-    switch (c) {
-      case '{': return parseObject();
-      case '[': return parseArray();
-      case '"': return parseString();
-      case 't':
-      case 'f': return parseBool();
-      case 'n': return parseNull();
-      default: return parseNumber();
-    }
-  }
-
-  JsonValue parseObject() {
-    expect('{');
-    JsonValue v;
-    v.kind = JsonValue::Kind::kObject;
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      JsonValue key = parseString();
-      expect(':');
-      v.fields.emplace_back(std::move(key.str), parseValue());
-      const char c = peek();
-      ++pos_;
-      if (c == '}') return v;
-      if (c != ',') fail("expected ',' or '}' in object");
-    }
-  }
-
-  JsonValue parseArray() {
-    expect('[');
-    JsonValue v;
-    v.kind = JsonValue::Kind::kArray;
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.items.push_back(parseValue());
-      const char c = peek();
-      ++pos_;
-      if (c == ']') return v;
-      if (c != ',') fail("expected ',' or ']' in array");
-    }
-  }
-
-  JsonValue parseString() {
-    expect('"');
-    JsonValue v;
-    v.kind = JsonValue::Kind::kString;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return v;
-      if (c != '\\') {
-        v.str += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      const char e = text_[pos_++];
-      switch (e) {
-        case '"': v.str += '"'; break;
-        case '\\': v.str += '\\'; break;
-        case '/': v.str += '/'; break;
-        case 'n': v.str += '\n'; break;
-        case 't': v.str += '\t'; break;
-        case 'r': v.str += '\r'; break;
-        default: fail("unknown escape");
-      }
-    }
-  }
-
-  JsonValue parseBool() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kBool;
-    if (text_.compare(pos_, 4, "true") == 0) {
-      v.boolean = true;
-      pos_ += 4;
-    } else if (text_.compare(pos_, 5, "false") == 0) {
-      v.boolean = false;
-      pos_ += 5;
-    } else {
-      fail("bad literal");
-    }
-    return v;
-  }
-
-  JsonValue parseNull() {
-    if (text_.compare(pos_, 4, "null") != 0) fail("bad literal");
-    pos_ += 4;
-    return JsonValue{};
-  }
-
-  JsonValue parseNumber() {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if ((c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' ||
-          c == 'e' || c == 'E') {
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    if (pos_ == start) fail("expected a value");
-    JsonValue v;
-    v.kind = JsonValue::Kind::kNumber;
-    v.number = std::strtod(text_.c_str() + start, nullptr);
-    return v;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
+using json::JsonParser;
+using json::JsonValue;
 
 std::string readFileOrDie(const std::string& path, const char* what) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
