@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <utility>
 
+#include "host/cpu_model.hpp"
 #include "util/check.hpp"
 
 namespace gangcomm::app {
@@ -38,8 +39,15 @@ void Process::scheduleStep() {
     pending_wake_ = true;
     return;
   }
-  step_scheduled_ = true;
   const sim::SimTime at = cpu().availableAt(sim().now());
+  // A woken process whose CPU is free steps at once.  A wake raised from
+  // inside this process's own step is deferred to an event instead, so a
+  // step never re-enters itself.
+  if (at == sim().now() && !in_step_) {
+    runStep();
+    return;
+  }
+  step_scheduled_ = true;
   sim::LpScope lp(sim(), sim::lpTag(sim::LpDomain::kNode,
                                     static_cast<std::uint32_t>(
                                         env_.fm->node())));
@@ -55,12 +63,12 @@ void Process::runStep() {
   }
   pending_wake_ = false;
   batch_started_ = sim().now();
-  if (draining_) {
-    // The workload's state machine already completed; don't re-enter it.
-    drainServe();
-    return;
-  }
-  step();
+  in_step_ = true;
+  if (draining_)
+    drainServe();  // the workload's state machine already completed
+  else
+    step();
+  in_step_ = false;
 }
 
 void Process::drainServe() {
@@ -72,7 +80,7 @@ void Process::drainServe() {
 }
 
 bool Process::batchExhausted() const {
-  return cpu().availableAt(sim().now()) - batch_started_ >= kBatchBudget;
+  return cpu().availableAt(sim().now()) - batch_started_ >= host::kBatchBudget;
 }
 
 void Process::yieldStep() { scheduleStep(); }

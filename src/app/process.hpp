@@ -5,6 +5,8 @@
 // host CPU through the node's HostCpu; the framework re-schedules step() at
 // the CPU-available time, so a send-heavy process naturally starves its own
 // extract loop — the behaviour behind the receive-queue backlog of Figure 8.
+// A wake that finds the CPU free runs step() in place, in the waker's
+// instant, unless it comes from inside the process's own step.
 //
 // SIGSTOP/SIGCONT from the noded map to suspend/resume: a suspended process
 // neither steps nor charges CPU, and wakeups that fire meanwhile are held
@@ -93,12 +95,11 @@ class Process : public parpar::ProcessHandle {
   bool finished_ = false;
   bool draining_ = false;
   bool step_scheduled_ = false;
+  bool in_step_ = false;  // step() or drainServe() is on the stack
   bool pending_wake_ = false;
   sim::SimTime batch_started_ = 0;
   sim::SimTime start_time_ = 0;
   sim::SimTime finish_time_ = 0;
-
-  static constexpr sim::Duration kBatchBudget = 200 * sim::kMicrosecond;
 };
 
 }  // namespace gangcomm::app

@@ -59,9 +59,10 @@ struct FmConfig {
   /// C0-deep window; pushing every PIO at one instant would book
   /// milliseconds of host CPU in a single event and stall everything behind
   /// it (notably the noded's halt flag write at a gang switch).  The sweep
-  /// instead issues this many packets, then continues when the CPU has
-  /// drained them — the serial cost is identical, but other host work
-  /// interleaves.  Must be >= 1 (validateConfig).
+  /// instead issues this many packets (fewer once the CPU is booked
+  /// host::kBatchBudget ahead), then continues when the CPU has drained
+  /// them — the serial cost is identical, but other host work interleaves.
+  /// Must be >= 1 (validateConfig).
   int rtx_burst_packets = 16;
   /// Shed delivered packets whose integrity tag fails re-derivation at
   /// extract() instead of treating them as a protocol bug (the FM checksum

@@ -451,24 +451,34 @@ void FmLib::sweepResend(int peer, std::uint64_t next_seq,
   purgeAcked(peer);
   std::uint64_t last = 0;
   int burst = 0;
+  bool more = false;  // the burst hit its packet or host-CPU budget
   for (const net::Packet& p : unacked_[idx]) {
     if (p.seq < next_seq) continue;
-    if (p.seq > end_seq || burst >= cfg_.rtx_burst_packets) break;
+    if (p.seq > end_seq) break;
+    // A burst ends at rtx_burst_packets PIOs or once the host CPU is booked
+    // a batch budget ahead, so a sweep never holds the CPU longer than a
+    // process step does.
+    if (burst == cfg_.rtx_burst_packets ||
+        (burst > 0 && cpu_.availableAt(sim_.now()) - sim_.now() >=
+                          host::kBatchBudget)) {
+      more = true;
+      break;
+    }
     if (!nic_.reserveSendSlot(params_.ctx)) break;  // full queue: timer retries
     pushPacketToNic(p);
     ++stats_.packets_retransmitted;
     ++burst;
     last = p.seq;
   }
-  if (burst == cfg_.rtx_burst_packets && last < end_seq &&
-      !unacked_[idx].empty() && unacked_[idx].back().seq > last) {
+  if (more) {
     // More of the window to go: continue once the host has drained this
     // burst's PIOs, so the noded and the extract loop interleave instead of
     // queueing behind one giant booking.
     const sim::Duration gap = cpu_.availableAt(sim_.now()) - sim_.now();
     sim::LpScope lp(sim_, lpNode());
-    rtx_sweep_[idx] = sim_.schedule(
-        gap, [this, peer, last, end_seq] { sweepResend(peer, last + 1, end_seq); });
+    rtx_sweep_[idx] = sim_.schedule(gap, [this, peer, last, end_seq] {
+      sweepResend(peer, last + 1, end_seq);
+    });
     return;
   }
   armRtxTimer(peer);

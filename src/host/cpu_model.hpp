@@ -13,6 +13,12 @@
 
 namespace gangcomm::host {
 
+/// Host work one batch may book ahead before it yields the CPU: a process
+/// step (app::Process::batchExhausted) and a go-back-N resend burst
+/// (fm::FmLib) each stop once the CPU is this far behind, so the noded's
+/// flag writes and the extract loop interleave with them.
+inline constexpr sim::Duration kBatchBudget = 200 * sim::kMicrosecond;
+
 class HostCpu {
  public:
   /// Earliest time at or after `now` the CPU can accept new work.

@@ -111,7 +111,7 @@ void Nic::retagContext(ContextId id, JobId job, int rank) {
   ContextSlot* ctx = contexts_[idx].get();
   GC_CHECK_MSG(flush_complete_ || quiesce_complete_ ||
                    (ctx->sendq.empty() && ctx->recvq.empty() &&
-                    dma_in_flight_ == 0),
+                    dma_in_flight_ == 0 && sending_ctx_ != id),
                "retag requires a flushed/quiesced card or a virgin context");
   ctx->job = job;
   ctx->rank = rank;
@@ -157,7 +157,7 @@ util::Status Nic::hostEnqueueSend(ContextId id, const Packet& pkt) {
   }
   GC_CHECK_MSG(ctx->sendq.push(pkt), "send ring overflow despite reservation");
   if (probe_) probe_->onPacket(obs::PacketEvent::kNicQueued, pkt, sim_.now());
-  scheduleSendScan();
+  runSendScan();
   // A flush may be blocked solely on this PIO completing (the packet
   // itself legally rides the switch parked in sendq).
   if (ctx->reserved_send_slots == 0) maybeCompleteFlush();
@@ -166,7 +166,7 @@ util::Status Nic::hostEnqueueSend(ContextId id, const Packet& pkt) {
 
 void Nic::hostEnqueueControl(const Packet& pkt) {
   control_queue_.push_back(pkt);
-  scheduleSendScan();
+  runSendScan();
 }
 
 bool Nic::recvEmpty(ContextId id) const {
@@ -183,18 +183,26 @@ Packet Nic::hostDequeueRecv(ContextId id) {
 
 // ---- Send context -----------------------------------------------------------
 
-void Nic::scheduleSendScan() {
-  if (send_busy_ || scan_scheduled_) return;
-  scan_scheduled_ = true;
-  sim::LpScope lp(sim_, lpSelf());
-  sim_.schedule(0, [this] {
-    scan_scheduled_ = false;
+void Nic::runSendScan() {
+  // The LANai's send loop runs in place: an idle card takes its next packet
+  // the instant one is queued or its previous send completes.  A scan can
+  // re-enter through its own callbacks (flush complete -> switch ->
+  // beginRelease -> here); the nested request only marks a rescan, which
+  // the outer loop runs once the current pass returns.
+  if (send_busy_) return;
+  if (scanning_) {
+    rescan_ = true;
+    return;
+  }
+  scanning_ = true;
+  do {
+    rescan_ = false;
     sendScan();
-  });
+  } while (rescan_ && !send_busy_);
+  scanning_ = false;
 }
 
 void Nic::sendScan() {
-  if (send_busy_) return;
   // Control traffic first: pending refills must reach the wire before the
   // halt broadcast so the flush leaves credit state consistent.
   if (trySendControlPacket()) return;
@@ -241,7 +249,7 @@ bool Nic::trySendControlPacket() {
         }
       }
       maybeCompleteQuiesce();
-      scheduleSendScan();
+      runSendScan();
     });
   });
   return true;
@@ -263,6 +271,7 @@ bool Nic::trySendDataPacket() {
       probe_->onPacket(obs::PacketEvent::kNicDequeued, pkt, sim_.now());
     const ContextId cid = ctx.id;
     send_busy_ = true;
+    sending_ctx_ = cid;
     // gcprof: the +lanai_send_ns event is the head hitting the wire, so it
     // is accounted to the link LP.
     sim::LpScope wire_lp(sim_, sim::lpTag(sim::LpDomain::kLink));
@@ -271,13 +280,14 @@ bool Nic::trySendDataPacket() {
       sim::LpScope lp(sim_, lpSelf());
       sim_.scheduleAt(done, [this, cid] {
         send_busy_ = false;
+        sending_ctx_ = kNoContext;
         ++stats_.data_sent;
         if (ContextSlot* c = context(cid)) {
           ++c->pkts_sent;
           fireSendable(*c);
         }
         maybeCompleteQuiesce();
-        scheduleSendScan();
+        runSendScan();
       });
     });
     return true;
@@ -304,7 +314,7 @@ void Nic::beginFlush(util::SboFunction<void()> on_flushed) {
   on_flushed_ = std::move(on_flushed);
   GC_DEBUG(sim_, "nic", "node %d: local halt ('lh')", node_);
   reportStage(obs::SwitchStage::kHaltBegin, obs::HaltKind::kFlush);
-  scheduleSendScan();
+  runSendScan();
 }
 
 void Nic::maybeBroadcastHalt() {
@@ -375,7 +385,7 @@ void Nic::beginRelease(util::SboFunction<void()> on_released) {
     ready.dst_node = n;
     control_queue_.push_back(ready);
   }
-  scheduleSendScan();
+  runSendScan();
 }
 
 void Nic::maybeCompleteRelease() {
@@ -395,7 +405,7 @@ void Nic::maybeCompleteRelease() {
     on_released_ = nullptr;
     cb();
   }
-  scheduleSendScan();
+  runSendScan();
 }
 
 void Nic::beginLocalQuiesce(util::SboFunction<void()> on_quiesced) {
@@ -406,7 +416,7 @@ void Nic::beginLocalQuiesce(util::SboFunction<void()> on_quiesced) {
   on_quiesced_ = std::move(on_quiesced);
   GC_DEBUG(sim_, "nic", "node %d: local quiesce begin", node_);
   reportStage(obs::SwitchStage::kHaltBegin, obs::HaltKind::kQuiesce);
-  scheduleSendScan();
+  runSendScan();
   // The card may already be idle.
   maybeCompleteQuiesce();
 }
@@ -444,7 +454,7 @@ void Nic::beginAckQuiesce(util::SboFunction<void()> on_quiesced) {
   on_quiesced_ = std::move(on_quiesced);
   GC_DEBUG(sim_, "nic", "node %d: ack-quiesce begin", node_);
   reportStage(obs::SwitchStage::kHaltBegin, obs::HaltKind::kAckQuiesce);
-  scheduleSendScan();
+  runSendScan();
   maybeCompleteQuiesce();
 }
 
@@ -476,7 +486,7 @@ void Nic::emitNicAck(const Packet& data_pkt) {
   ack.ack_seq = data_pkt.seq;
   control_queue_.push_back(ack);
   ++stats_.nic_acks_sent;
-  scheduleSendScan();
+  runSendScan();
 }
 
 void Nic::endLocalQuiesce() {
@@ -486,7 +496,7 @@ void Nic::endLocalQuiesce() {
   quiesce_complete_ = false;
   halt_bit_ = false;
   reportStage(obs::SwitchStage::kReleaseComplete, obs::HaltKind::kQuiesce);
-  scheduleSendScan();
+  runSendScan();
 }
 
 // ---- Receive context --------------------------------------------------------

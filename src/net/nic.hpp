@@ -7,7 +7,9 @@
 //    in SRAM and a receive queue in the host's pinned DMA buffer (Figure 1);
 //  * a send "context" (thread) that round-robins the contexts' send queues
 //    and injects one packet at a time, checking the halt bit before each
-//    packet (paper §3.2);
+//    packet (paper §3.2).  The loop runs in place, not as an event: an idle
+//    card takes its next packet the instant one is queued or its previous
+//    send completes, control packets first, then the round-robin data scan;
 //  * a receive "context" that consumes arriving packets, counts control
 //    packets (halt/ready/refill — never stored, never credited) and DMAs
 //    data packets into the owning context's receive queue;
@@ -144,7 +146,9 @@ class Nic {
 
   /// Re-tag a context slot to a different job/rank (buffer switch installs
   /// the next job's identity into the live slot).  Only legal while the
-  /// network is flushed — enforced.  Also resynchronizes the send-scan
+  /// network is flushed or the context is virgin (empty rings, no DMA in
+  /// flight, and not the owner of the packet the LANai is sending) —
+  /// enforced.  Also resynchronizes the send-scan
   /// occupancy column: the buffer switcher drains/refills the slot's send
   /// ring directly, and every switch path retags afterwards.
   void retagContext(ContextId id, JobId job, int rank);
@@ -232,7 +236,7 @@ class Nic {
   void publishMetrics(obs::MetricsRegistry& reg) const;
 
  private:
-  void scheduleSendScan();
+  void runSendScan();
   void sendScan();
   bool trySendDataPacket();
   bool trySendControlPacket();
@@ -282,8 +286,10 @@ class Nic {
   std::deque<Packet> control_queue_;
 
   // Send-context state.
-  bool send_busy_ = false;       // a packet is being processed/injected
-  bool scan_scheduled_ = false;
+  bool send_busy_ = false;              // a packet is being processed/injected
+  ContextId sending_ctx_ = kNoContext;  // owner of the data packet in flight
+  bool scanning_ = false;               // a send scan is on the stack
+  bool rescan_ = false;                 // nested scan request, run on unwind
 
   // Flush / release state machine (Figure 3).  Counters are cumulative and
   // consumed per epoch, so a peer's halt that arrives before our own local

@@ -21,7 +21,10 @@
 //   * the ladder (kLadder only; see below);
 //   * the same-instant lane — an append-only FIFO of (seq, slot) for events
 //     scheduled at now() (past-clamped ones included) while the tie salt is
-//     0.  They skip the heap entirely.  Every heap or ladder event due at
+//     0.  They skip the heap entirely.  The model's two commonest
+//     same-instant hops, the NIC send scan and the wake of a process whose
+//     CPU is free, are direct calls, so the lane carries only the remaining
+//     zero-delay events.  Every heap or ladder event due at
 //     now() was scheduled before the clock reached now(), so its seq is
 //     smaller than any lane entry's: the lane fires only once nothing else
 //     is due at now(), which is exactly the (time, seq) order.
@@ -37,7 +40,8 @@
 // schedule freely while it runs.
 //
 // Two queue disciplines order the non-lane slots (setQueueKind):
-//   * kHeap    — one indexed 4-ary min-heap over every pending event.
+//   * kHeap    — one indexed 4-ary min-heap over every pending event (the
+//     default, here and in core::ClusterConfig).
 //   * kLadder  — a ladder queue (sim/ladder_queue.hpp): far-future events
 //     take an O(1) bucket append and only reach the 4-ary heap when their
 //     time bucket becomes imminent.  Buckets partition integer timestamps,

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <utility>
@@ -139,6 +140,57 @@ TEST_F(ProcessTest, StopBeforeStartDefersFirstStep) {
   p.sigcont();
   sim_.run();
   EXPECT_TRUE(p.finished());
+}
+
+/// A process that yields without charging CPU, so every wake finds the CPU
+/// free.
+class FreeYieldProcess final : public Process {
+ public:
+  explicit FreeYieldProcess(Env env, int target_steps)
+      : Process(std::move(env)), target_(target_steps) {}
+
+  int steps = 0;
+  int depth = 0;
+  int max_depth = 0;
+
+ protected:
+  void step() override {
+    ++depth;
+    max_depth = std::max(max_depth, depth);
+    ++steps;
+    if (steps >= target_)
+      finish();
+    else
+      yieldStep();
+    --depth;
+  }
+
+ private:
+  int target_;
+};
+
+TEST_F(ProcessTest, WakeWithFreeCpuStepsInPlace) {
+  CountingProcess p(makeEnv(0), 3);
+  p.start();
+  // The first step ran inside start(); the next waits for the 1 us of CPU
+  // it charged.
+  EXPECT_EQ(p.steps, 1);
+  EXPECT_EQ(sim_.firedEvents(), 0u);
+  EXPECT_EQ(sim_.pendingEvents(), 1u);
+  sim_.run();
+  EXPECT_EQ(p.steps, 3);
+}
+
+TEST_F(ProcessTest, WakeFromInsideAStepDoesNotRecurse) {
+  FreeYieldProcess p(makeEnv(0), 5);
+  p.start();
+  EXPECT_EQ(p.steps, 1);
+  EXPECT_EQ(sim_.pendingEvents(), 1u);  // the yield became an event
+  sim_.run();
+  EXPECT_TRUE(p.finished());
+  EXPECT_EQ(p.steps, 5);
+  EXPECT_EQ(p.max_depth, 1);
+  EXPECT_EQ(sim_.now(), 0u);  // no CPU charged: every step in one instant
 }
 
 TEST_F(ProcessTest, StartTimeRecordedAtStart) {

@@ -65,12 +65,29 @@ TEST_F(NicQuiesceTest, LocalQuiesceCompletesWithoutPeers) {
 }
 
 TEST_F(NicQuiesceTest, LocalQuiesceFreezesQueuedData) {
+  // The first packet keeps the LANai busy, so the second is still queued
+  // when the quiesce begins.
   sendData(*nics_[0], dataPacket(0, 1, 1));
+  sendData(*nics_[0], dataPacket(0, 1, 2));
   bool done = false;
   nics_[0]->beginLocalQuiesce([&] { done = true; });
   sim_.run();
   EXPECT_TRUE(done);
-  // The queued packet stayed in the ring (SHARE freezes the send side).
+  // The in-flight packet finished; the queued one stayed in the ring (SHARE
+  // freezes the send side).
+  EXPECT_EQ(nics_[0]->context(0)->sendq.size(), 1u);
+  EXPECT_EQ(nics_[1]->context(0)->recvq.size(), 1u);
+  nics_[0]->endLocalQuiesce();
+  sim_.run();
+  EXPECT_EQ(nics_[1]->context(0)->recvq.size(), 2u);
+}
+
+TEST_F(NicQuiesceTest, HaltEarlierInTheInstantFreezesALaterEnqueue) {
+  bool done = false;
+  nics_[0]->beginLocalQuiesce([&] { done = true; });
+  EXPECT_TRUE(done);  // the idle card quiesces at once
+  sendData(*nics_[0], dataPacket(0, 1, 1));
+  sim_.run();
   EXPECT_EQ(nics_[0]->context(0)->sendq.size(), 1u);
   EXPECT_TRUE(nics_[1]->recvEmpty(0));
   nics_[0]->endLocalQuiesce();

@@ -131,10 +131,49 @@ TEST_F(NicTest, ReserveFailsWhenQueueFull) {
 
 TEST_F(NicTest, SendSlotFreesAfterInjection) {
   allocPair(1, 10, /*sq=*/1);
+  // The first packet keeps the LANai busy; the second waits in the ring and
+  // holds its slot until the LANai takes it.
   sendData(*nics_[0], dataPacket(0, 1, 0, 1, 1));
+  sendData(*nics_[0], dataPacket(0, 1, 0, 1, 2));
+  EXPECT_EQ(nics_[0]->context(0)->sendq.size(), 1u);
   EXPECT_FALSE(nics_[0]->reserveSendSlot(0));
   sim_.run();
   EXPECT_TRUE(nics_[0]->reserveSendSlot(0));
+}
+
+TEST_F(NicTest, IdleCardTakesPacketInTheInstantItIsQueued) {
+  allocPair();
+  sendData(*nics_[0], dataPacket(0, 1, 0, 1, 1));
+  // No scan event: the packet left the ring at once, and the only pending
+  // event is the LANai's per-packet send processing.
+  EXPECT_TRUE(nics_[0]->context(0)->sendq.empty());
+  EXPECT_EQ(sim_.pendingEvents(), 1u);
+  EXPECT_EQ(sim_.firedEvents(), 0u);
+  EXPECT_TRUE(nics_[0]->reserveSendSlot(0));
+}
+
+TEST_F(NicTest, ControlPacketGoesBeforeDataWhenASendCompletes) {
+  allocPair();
+  sendData(*nics_[0], dataPacket(0, 1, 0, 1, 1));  // card now busy
+  sendData(*nics_[0], dataPacket(0, 1, 0, 1, 2));
+  Packet refill;
+  refill.type = PacketType::kRefill;
+  refill.src_node = 0;
+  refill.dst_node = 1;
+  refill.job = 1;
+  refill.src_rank = 0;
+  refill.dst_rank = 1;
+  refill.refill_credits = 1;
+  nics_[0]->hostEnqueueControl(refill);
+  // Run until the first packet's send completes: the control packet,
+  // queued after the second data packet, is taken first.
+  while (nics_[0]->stats().data_sent == 0) ASSERT_EQ(sim_.runSteps(1), 1u);
+  EXPECT_EQ(nics_[0]->context(0)->sendq.size(), 1u);
+  while (nics_[0]->stats().control_sent == 0) ASSERT_EQ(sim_.runSteps(1), 1u);
+  EXPECT_EQ(nics_[0]->stats().data_sent, 1u);
+  sim_.run();
+  EXPECT_EQ(nics_[0]->stats().data_sent, 2u);
+  EXPECT_EQ(nics_[1]->stats().refill_credits_received, 1u);
 }
 
 TEST_F(NicTest, SendableCallbackFiresWhenSlotFrees) {

@@ -130,13 +130,15 @@ TEST(CausalityRecorder, ClusterPublishesGcprofAndSimCounters) {
   cfg.nodes = 4;
   cfg.causality_trace = true;
   cfg.causality_dump_path = path;
+  // The ladder explicitly: the ladder-transfer check below is about it.
+  cfg.event_queue = sim::QueueKind::kLadder;
   core::Cluster cluster(cfg);
   cluster.submit(2, [](app::Process::Env env)
                         -> std::unique_ptr<app::Process> {
     if (env.rank == 0)
       return std::make_unique<app::BandwidthSender>(std::move(env), 1, 1024,
-                                                    16);
-    return std::make_unique<app::BandwidthReceiver>(std::move(env), 0, 16);
+                                                    64);
+    return std::make_unique<app::BandwidthReceiver>(std::move(env), 0, 64);
   });
   cluster.run();
   EXPECT_TRUE(cluster.finishCausality());
@@ -150,7 +152,7 @@ TEST(CausalityRecorder, ClusterPublishesGcprofAndSimCounters) {
   EXPECT_EQ(reg.counter("sim.past_schedule_clamps"), 0u);
   ASSERT_TRUE(reg.has("sim.events_cancelled"));
   ASSERT_TRUE(reg.has("sim.ladder_heap_transfers"));
-  // The default queue is the ladder; a real run parks far-future timers.
+  // A real run parks far-future timers in the ladder.
   EXPECT_GT(reg.counter("sim.ladder_heap_transfers"), 0u);
   // Recorder totals and engine totals agree on what fired while hooked.
   EXPECT_EQ(reg.counter("gcprof.records"),
