@@ -154,18 +154,12 @@ void BM_EventQueueSameInstantFanout(benchmark::State& state) {
 BENCHMARK(BM_EventQueueSameInstantFanout);
 
 // Bursty schedule/fire — the shape the figure benches produce (all-to-all
-// windows of packet events spread across a horizon), and the ladder queue's
-// target workload.  Arg 0 selects the queue: 0 = reference indexed heap,
-// 1 = ladder.  Arg 1 is the burst depth; the heap pays O(log n) per event
-// while the ladder amortizes the spread to O(1), so the queues cross over
-// as the burst deepens.  Fire order is bit-identical either way (enforced
-// by the randomized cross-checks in tests/sim), so this is pure engine cost.
+// windows of packet events spread across a horizon).  The arg is the burst
+// depth: 64 is as deep as the figure workloads get, 4096 and 65536 show how
+// the heap's O(log n) per event grows past them.
 void BM_BurstSchedule(benchmark::State& state) {
-  const auto kind = state.range(0) == 0 ? sim::QueueKind::kHeap
-                                        : sim::QueueKind::kLadder;
-  const int depth = static_cast<int>(state.range(1));
+  const int depth = static_cast<int>(state.range(0));
   sim::Simulator s;
-  s.setQueueKind(kind);
   sim::Xoshiro256 rng(7);
   std::uint64_t sink = 0;
   for (auto _ : state) {
@@ -178,13 +172,7 @@ void BM_BurstSchedule(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * depth);
   bench::perf().addEvents(s.firedEvents());
 }
-BENCHMARK(BM_BurstSchedule)
-    ->Args({0, 64})
-    ->Args({1, 64})
-    ->Args({0, 4096})
-    ->Args({1, 4096})
-    ->Args({0, 65536})
-    ->Args({1, 65536});
+BENCHMARK(BM_BurstSchedule)->Arg(64)->Arg(4096)->Arg(65536);
 
 // Direct cost of the callable itself, packet-sized capture: std::function
 // heap-allocates, SboFunction stores inline.

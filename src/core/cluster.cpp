@@ -17,10 +17,8 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg), mem_(cfg.mem) {
   GC_CHECK_MSG(cfg_.nodes >= 1, "cluster needs nodes");
   GC_CHECK_MSG(cfg_.max_contexts >= 1, "max_contexts must be positive");
 
-  // Before anything can schedule: the tie salt and queue structure both
-  // require an empty queue.
+  // Before anything can schedule: the tie salt requires an empty queue.
   sim_.setTieSalt(cfg_.tie_salt);
-  sim_.setQueueKind(cfg_.event_queue);
 
   // A non-empty trace_path implies tracing.  The recorder exists either way
   // (harnesses query it); its probe consumer is installed only while tracing.
@@ -41,7 +39,6 @@ Cluster::Cluster(ClusterConfig cfg) : cfg_(cfg), mem_(cfg.mem) {
     obs::CausalityConfig ccfg;
     ccfg.dump_path = cfg_.causality_dump_path;
     ccfg.buffer_records = cfg_.causality_buffer_records;
-    ccfg.wall_cost = cfg_.causality_wall_cost;
     causality_ = std::make_unique<obs::CausalityRecorder>(std::move(ccfg));
     sim_.setCausalitySink(causality_.get());
   }
@@ -181,7 +178,6 @@ void Cluster::collectMetrics(obs::MetricsRegistry& reg) const {
   reg.setCounter("sim.events_pending", sim_.pendingEvents());
   reg.setCounter("sim.past_schedule_clamps", sim_.pastScheduleClamps());
   reg.setCounter("sim.events_cancelled", sim_.cancelledEvents());
-  reg.setCounter("sim.ladder_heap_transfers", sim_.ladderHeapTransfers());
   reg.setCounter("sim.queue_depth_high_water", sim_.queueDepthHighWater());
   reg.setCounter("cluster.switch_records",
                  static_cast<std::uint64_t>(switches_.size()));

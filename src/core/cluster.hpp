@@ -127,9 +127,6 @@ struct ClusterConfig {
   std::string causality_dump_path = "gcprof_dump.json";
   /// Records buffered before spilling to the dump file.
   std::size_t causality_buffer_records = 1 << 16;
-  /// gcprof wall-cost mode: sample the host clock around every event action.
-  /// NONDETERMINISTIC — dumps vary run to run and are labeled "mode":"wall".
-  bool causality_wall_cost = false;
   /// Dynamic verification (gcverify): run an InvariantEngine as the
   /// simulator's event observer, checking credit conservation, buffer
   /// ownership, packet conservation, and switch-protocol order after every
@@ -140,13 +137,6 @@ struct ClusterConfig {
   /// tools/gcsweep sweeps this to exercise alternative legal orderings of
   /// logically concurrent events.
   std::uint64_t tie_salt = 0;
-  /// Event-queue structure (sim::Simulator::setQueueKind).  Both kinds fire
-  /// in exactly the same order at any tie salt.  The heap is the default:
-  /// with the send scan and process wake-ups run in place, few events are
-  /// pending at once and the heap is as fast as the ladder in less memory.
-  /// kLadder stays selectable (gcsweep's --queue axis, the randomized
-  /// cross-check tests).
-  sim::QueueKind event_queue = sim::QueueKind::kHeap;
 };
 
 /// One node's switch measurement, tagged with its origin.

@@ -3,7 +3,6 @@
 // gclint: hot
 #include "obs/gcprof.hpp"
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -16,18 +15,6 @@
 
 namespace gangcomm::obs {
 
-namespace {
-
-std::int64_t wallNowNs() {
-  // gclint: allow(det-clock): wall-cost mode is the explicitly labeled
-  // nondeterministic gcprof mode; sim-mode dumps never call this
-  const auto since_epoch = std::chrono::steady_clock::now().time_since_epoch();
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(since_epoch)
-      .count();
-}
-
-}  // namespace
-
 CausalityRecorder::CausalityRecorder(CausalityConfig cfg)
     : cfg_(std::move(cfg)) {
   if (cfg_.buffer_records == 0) cfg_.buffer_records = 1;
@@ -37,8 +24,7 @@ CausalityRecorder::CausalityRecorder(CausalityConfig cfg)
     if (file_ == nullptr) {
       io_error_ = true;
     } else {
-      std::fprintf(file_, "{\"gcprof\":\"gcprof-v1\",\"mode\":\"%s\",\n",
-                   cfg_.wall_cost ? "wall" : "sim");
+      std::fprintf(file_, "{\"gcprof\":\"gcprof-v1\",\"mode\":\"sim\",\n");
       std::fprintf(file_, "\"records\":[");
     }
   }
@@ -67,15 +53,12 @@ void CausalityRecorder::onFireBegin(std::uint64_t id, sim::SimTime t) {
   cur_.sched = it->second.sched;
   cur_.fire = t;
   cur_.lp = it->second.lp;
-  cur_.wall_ns = 0;
   pending_.erase(it);
-  if (cfg_.wall_cost) fire_wall_start_ = wallNowNs();
 }
 
 void CausalityRecorder::onFireEnd(std::uint64_t id) {
   if (!cur_known_) return;
   GC_CHECK_MSG(cur_.id == id, "causality fire begin/end ids out of order");
-  if (cfg_.wall_cost) cur_.wall_ns = wallNowNs() - fire_wall_start_;
   emit(cur_);
   cur_known_ = false;
 }
@@ -91,26 +74,13 @@ bool CausalityRecorder::spillBuffer() {
   if (file_ == nullptr) return !io_error_;
   char line[160];
   for (const CausalityRecord& r : buf_) {
-    int n;
-    if (cfg_.wall_cost) {
-      n = std::snprintf(line, sizeof(line),
-                        "%s[%llu,%llu,%llu,%llu,%lu,%lld]",
-                        spilled_ == 0 ? "\n" : ",\n",
-                        static_cast<unsigned long long>(r.id),
-                        static_cast<unsigned long long>(r.parent),
-                        static_cast<unsigned long long>(r.sched),
-                        static_cast<unsigned long long>(r.fire),
-                        static_cast<unsigned long>(r.lp),
-                        static_cast<long long>(r.wall_ns));
-    } else {
-      n = std::snprintf(line, sizeof(line), "%s[%llu,%llu,%llu,%llu,%lu]",
-                        spilled_ == 0 ? "\n" : ",\n",
-                        static_cast<unsigned long long>(r.id),
-                        static_cast<unsigned long long>(r.parent),
-                        static_cast<unsigned long long>(r.sched),
-                        static_cast<unsigned long long>(r.fire),
-                        static_cast<unsigned long>(r.lp));
-    }
+    const int n = std::snprintf(
+        line, sizeof(line), "%s[%llu,%llu,%llu,%llu,%lu]",
+        spilled_ == 0 ? "\n" : ",\n", static_cast<unsigned long long>(r.id),
+        static_cast<unsigned long long>(r.parent),
+        static_cast<unsigned long long>(r.sched),
+        static_cast<unsigned long long>(r.fire),
+        static_cast<unsigned long>(r.lp));
     if (n < 0 || std::fwrite(line, 1, static_cast<std::size_t>(n), file_) !=
                      static_cast<std::size_t>(n)) {
       io_error_ = true;

@@ -4,7 +4,7 @@
 // While profiling is enabled the recorder sees every schedule/cancel/fire
 // transition and assembles one record per *fired* event:
 //
-//     (id, parent id, sched time, fire time, LP tag[, wall ns])
+//     (id, parent id, sched time, fire time, LP tag)
 //
 // `parent` is the event whose action scheduled this one (0 for setup-time
 // schedules), so the records form the event-causality DAG — a forest of
@@ -19,11 +19,8 @@
 // configured the buffer spills to a compact JSON file whenever it fills,
 // keeping memory O(buffer) for arbitrarily long runs.  Records are emitted
 // in fire order and contain only simulated-time data, so the dump is
-// byte-identical across reruns and GANGCOMM_JOBS values.  The optional
-// wall-cost mode additionally samples the host monotonic clock around each
-// action and appends the handler's wall-clock nanoseconds to every record;
-// that mode is explicitly nondeterministic and the dump is labeled
-// "mode":"wall" so tools refuse to diff it against sim-mode output.
+// byte-identical across reruns and GANGCOMM_JOBS values.  The dump header
+// says "mode":"sim"; tools/gcprof refuses any other mode.
 #pragma once
 
 #include <cstddef>
@@ -47,10 +44,6 @@ struct CausalityConfig {
   std::string dump_path;
   /// Records buffered before spilling to the dump file.
   std::size_t buffer_records = 1 << 16;
-  /// Sample the host monotonic clock around each event action and record
-  /// per-event handler cost.  NONDETERMINISTIC: dumps from this mode vary
-  /// run to run and must never be byte-compared.
-  bool wall_cost = false;
 };
 
 /// One fired event; see the header comment for field semantics.
@@ -60,7 +53,6 @@ struct CausalityRecord {
   sim::SimTime sched = 0;
   sim::SimTime fire = 0;
   std::uint32_t lp = sim::kLpUnscoped;
-  std::int64_t wall_ns = 0;  // wall-cost mode only; 0 in sim mode
 };
 
 // gclint: hot
@@ -100,8 +92,6 @@ class CausalityRecorder final : public sim::CausalitySink {
   /// Events scheduled but not yet fired (open DAG leaves).
   std::size_t openPending() const { return pending_.size(); }
 
-  bool wallCostMode() const { return cfg_.wall_cost; }
-
   /// Publish recorder counters as gcprof.* metrics.
   void publish(MetricsRegistry& reg) const;
 
@@ -132,7 +122,6 @@ class CausalityRecorder final : public sim::CausalitySink {
   // In-flight record between onFireBegin and onFireEnd.
   CausalityRecord cur_{};
   bool cur_known_ = false;  // false: event predates the hook, skip it
-  std::int64_t fire_wall_start_ = 0;
   std::FILE* file_ = nullptr;
   bool io_error_ = false;
   bool finished_ = false;

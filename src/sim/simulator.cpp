@@ -14,14 +14,6 @@ void Simulator::setTieSalt(std::uint64_t salt) {
   tie_salt_ = salt;
 }
 
-void Simulator::setQueueKind(QueueKind kind) {
-  GC_CHECK_MSG(empty(),
-               "queue kind must be selected while the event queue is empty");
-  // Any entries still parked in the ladder are stale (live count is zero).
-  if (ladder_.hasEntries()) ladder_.clear();
-  kind_ = kind;
-}
-
 std::uint32_t Simulator::growSlab() {
   const auto slot = static_cast<std::uint32_t>(seqs_.size());
   if ((slot & kChunkMask) == 0) {
@@ -46,14 +38,6 @@ EventHandle Simulator::enqueue(SimTime t, std::uint32_t slot) {
     links_[slot] = kInLane;
     lane_.push_back(LaneEntry{seq, slot});
     ++lane_live_;
-  } else if (kind_ == QueueKind::kLadder && t >= ladder_.bottomLimit()) {
-    // A ladder holding only stale entries (every resident was cancelled)
-    // can be dropped wholesale; this bounds the garbage a schedule-then-
-    // cancel workload can accumulate.
-    if (ladder_live_ == 0 && ladder_.hasEntries()) ladder_.clear();
-    links_[slot] = kInLadder;
-    ladder_.insert(t, seq, slot);
-    ++ladder_live_;
   } else {
     heap_.push_back(HeapEntry{t, tieKey(seq), slot});
     siftUp(heap_.size() - 1);
@@ -73,12 +57,8 @@ bool Simulator::cancel(EventHandle h) {
   if (h.slot >= seqs_.size()) return false;
   if (seqs_[h.slot] != h.id) return false;
   const std::uint32_t link = links_[h.slot];
-  if (link == kInLadder) {
-    // Lazy cancel: free the slot now; the ladder entry goes stale (its seq
-    // no longer matches) and is filtered out at transfer time.
-    --ladder_live_;
-  } else if (link == kInLane) {
-    // Lazy as well: popLane() skips the stale entry.
+  if (link == kInLane) {
+    // Lazy cancel: free the slot now; popLane() skips the stale entry.
     if (--lane_live_ == 0) {
       lane_.clear();
       lane_head_ = 0;
@@ -131,9 +111,10 @@ void Simulator::removeAt(std::size_t pos) {
   if (pos < heap_.size()) {
     heap_[pos] = last;
     links_[last.slot] = static_cast<std::uint32_t>(pos);
-    // The displaced tail entry may belong above or below `pos`.
+    // The displaced tail entry may belong above or below `pos`; at the
+    // root there is nothing above it.
     siftDown(pos);
-    if (heap_[pos].slot == last.slot) siftUp(pos);
+    if (pos > 0 && heap_[pos].slot == last.slot) siftUp(pos);
   }
 }
 
@@ -143,34 +124,9 @@ void Simulator::recycle(std::uint32_t slot) {
   free_head_ = slot;
 }
 
-void Simulator::refillBottom() {
-  while (heap_.empty()) {
-    scratch_.clear();
-    const bool moved = ladder_.transferNext(scratch_);
-    GC_CHECK_MSG(moved, "ladder live count out of sync with its contents");
-    for (const LadderEntry& e : scratch_) {
-      if (seqs_[e.slot] != e.seq) continue;  // lazily-cancelled resident
-      links_[e.slot] = static_cast<std::uint32_t>(heap_.size());
-      heap_.push_back(HeapEntry{e.time, tieKey(e.seq), e.slot});
-      --ladder_live_;
-      ++ladder_transfers_;
-    }
-  }
-  // The span arrived unsorted and the heap held nothing else, so a bottom-up
-  // heapify (O(n)) beats n sift-up passes; links_ positions were seeded at
-  // push and siftDown rewrites the ones it moves.
-  if (heap_.size() > 1) {
-    for (std::size_t i = (heap_.size() - 2) / 4 + 1; i-- > 0;) siftDown(i);
-  }
-}
-
-SimTime Simulator::nextEventTime() {
+SimTime Simulator::nextEventTime() const {
   if (lane_live_ != 0) return now_;
-  if (heap_.empty()) {
-    if (ladder_live_ == 0) return kNever;
-    refillBottom();
-  }
-  return heap_[0].time;
+  return heap_.empty() ? kNever : heap_[0].time;
 }
 
 std::uint32_t Simulator::popLane() {
@@ -186,7 +142,6 @@ std::uint32_t Simulator::popLane() {
 }
 
 void Simulator::fireNext() {
-  if (heap_.empty() && ladder_live_ != 0) refillBottom();
   std::uint32_t slot;
   if (lane_live_ != 0 && (heap_.empty() || heap_[0].time != now_)) {
     slot = popLane();

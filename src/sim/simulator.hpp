@@ -11,42 +11,34 @@
 // 256-slot chunks that never move once allocated.  Slots are recycled
 // through a free list threaded across the links column, so steady-state
 // scheduling performs no allocation.  Each pending slot is queued in one of
-// three places:
+// two places:
 //   * the heap — an indexed 4-ary min-heap of packed (time, key, slot)
 //     entries.  The key is the event's tie key (its seq, or a salted
 //     bijection of it; see setTieSalt), stored inline, so the sift loops
 //     order entries without touching the slab.  The slot's links entry
 //     remembers its heap position, so cancel() removes it in place in
 //     O(log n) — no tombstones and no hash lookups on the firing path;
-//   * the ladder (kLadder only; see below);
 //   * the same-instant lane — an append-only FIFO of (seq, slot) for events
 //     scheduled at now() (past-clamped ones included) while the tie salt is
 //     0.  They skip the heap entirely.  The model's two commonest
 //     same-instant hops, the NIC send scan and the wake of a process whose
 //     CPU is free, are direct calls, so the lane carries only the remaining
-//     zero-delay events.  Every heap or ladder event due at
-//     now() was scheduled before the clock reached now(), so its seq is
-//     smaller than any lane entry's: the lane fires only once nothing else
-//     is due at now(), which is exactly the (time, seq) order.
-// The ladder and the lane cancel lazily: the slot is freed at once and the
-// stale entry (its seq no longer matches the slot) is skipped later.  A
-// handle is live exactly when the slot it points at still carries its
-// sequence number, an O(1) check.  scheduleAt() constructs the action
+//     zero-delay events.  Every heap event due at now() was scheduled
+//     before the clock reached now(), so its seq is smaller than any lane
+//     entry's: the lane fires only once nothing else is due at now(), which
+//     is exactly the (time, seq) order.
+// The heap is the only queue discipline: the modelled clusters keep at most
+// a few hundred events pending, too few for a bucketed queue to pay.
+// The lane cancels lazily: the slot is freed at once and the stale entry
+// (its seq no longer matches the slot) is skipped later.  A handle is live
+// exactly when the slot it points at still carries its sequence number, an
+// O(1) check.  scheduleAt() constructs the action
 // directly in its slab slot (util::SboFunction::emplace), keeping packet-
 // forwarding closures inline instead of behind a per-event heap allocation,
 // and fireNext() invokes it where it lies: the slot's seq is cleared first,
 // so the running event is already fired to cancel(), and the slot is only
 // recycled after the action returns — chunks never move, so the action may
 // schedule freely while it runs.
-//
-// Two queue disciplines order the non-lane slots (setQueueKind):
-//   * kHeap    — one indexed 4-ary min-heap over every pending event (the
-//     default, here and in core::ClusterConfig).
-//   * kLadder  — a ladder queue (sim/ladder_queue.hpp): far-future events
-//     take an O(1) bucket append and only reach the 4-ary heap when their
-//     time bucket becomes imminent.  Buckets partition integer timestamps,
-//     so the heap comparator still decides every same-time ordering and the
-//     firing sequence is bit-identical to kHeap at any tie salt.
 #pragma once
 
 #include <cstddef>
@@ -55,7 +47,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/ladder_queue.hpp"
 #include "sim/time.hpp"
 #include "util/sbo_function.hpp"
 
@@ -82,11 +73,6 @@ class EventObserver {
   /// total number of events fired so far (including this one).
   virtual void onEventBoundary(SimTime now, std::uint64_t fired) = 0;
 };
-
-/// Event-queue discipline; see the header comment.  Either kind fires any
-/// workload in the identical order — kLadder is purely a performance choice
-/// for bursty arrival distributions.
-enum class QueueKind : std::uint8_t { kHeap, kLadder };
 
 /// Logical-process domains for causality profiling (gcprof): node, nic, and
 /// link are the per-machine and wire domains; sim is the engine itself (and
@@ -189,12 +175,12 @@ class Simulator {
 
   /// True if no live events are pending.
   bool empty() const {
-    return heap_.empty() && ladder_live_ == 0 && lane_live_ == 0;
+    return heap_.empty() && lane_live_ == 0;
   }
 
   /// Number of pending (non-cancelled) events.
   std::uint64_t pendingEvents() const {
-    return heap_.size() + ladder_live_ + lane_live_;
+    return heap_.size() + lane_live_;
   }
 
   /// Total events fired since construction.
@@ -205,10 +191,6 @@ class Simulator {
 
   /// Pending events successfully cancelled since construction.
   std::uint64_t cancelledEvents() const { return cancels_; }
-
-  /// Ladder residents transferred into the heap as their bucket became
-  /// imminent (lazily-cancelled entries are filtered before the count).
-  std::uint64_t ladderHeapTransfers() const { return ladder_transfers_; }
 
   /// High-water mark of pendingEvents() observed at schedule time.
   std::uint64_t queueDepthHighWater() const { return depth_hwm_; }
@@ -248,18 +230,9 @@ class Simulator {
   /// The active same-timestamp permutation salt (0 = natural FIFO order).
   std::uint64_t tieSalt() const { return tie_salt_; }
 
-  /// Select the event-queue discipline.  Must be called while the queue is
-  /// empty (events already placed under one discipline cannot be re-homed).
-  /// The default is kHeap; core::Cluster selects via ClusterConfig.
-  void setQueueKind(QueueKind kind);
-
-  /// The active queue discipline.
-  QueueKind queueKind() const { return kind_; }
-
  private:
   static constexpr std::uint32_t kNil = 0xffffffffu;
-  // links_ sentinels for "parked in the ladder" and "queued in the lane".
-  static constexpr std::uint32_t kInLadder = 0xfffffffeu;
+  // links_ sentinel for "queued in the lane".
   static constexpr std::uint32_t kInLane = 0xfffffffdu;
   // Actions live in fixed chunks of 2^kChunkShift slots; a chunk never
   // moves, so an action can run in place while the slab grows.
@@ -326,12 +299,8 @@ class Simulator {
   // Release a slot's action and return the slot to the free list.  The
   // caller has already zeroed its seq.
   void recycle(std::uint32_t slot);
-  // Transfer the imminent ladder span into the (empty) heap, filtering
-  // lazily-cancelled entries.  Precondition: heap empty, ladder_live_ > 0.
-  void refillBottom();
-  // Earliest pending event time (kNever when drained); refills the heap
-  // from the ladder as a side effect.
-  SimTime nextEventTime();
+  // Earliest pending event time (kNever when drained).
+  SimTime nextEventTime() const;
   // Pops the lane's oldest live entry.  Precondition: lane_live_ > 0.
   std::uint32_t popLane();
   // Fires the earliest live event.  Precondition: !empty().
@@ -339,27 +308,22 @@ class Simulator {
 
   // Slab columns (structure-of-arrays), indexed by slot.  seqs_[s] == 0
   // marks a free slot or the one whose action is running.  links_[s] is the
-  // slot's heap position while queued in the heap, kInLadder / kInLane while
-  // parked there, and the next free slot index while on the free list.
+  // slot's heap position while queued in the heap, kInLane while queued in
+  // the lane, and the next free slot index while on the free list.
   std::vector<std::uint64_t> seqs_;
   std::vector<std::uint32_t> links_;
   std::vector<std::unique_ptr<Action[]>> chunks_;
 
   std::vector<HeapEntry> heap_;  // 4-ary min-heap by before()
-  LadderQueue ladder_;
-  std::uint64_t ladder_live_ = 0;        // non-cancelled ladder residents
-  std::vector<LadderEntry> scratch_;     // transfer staging, reused
   std::vector<LaneEntry> lane_;          // same-instant FIFO (salt 0 only)
   std::size_t lane_head_ = 0;            // next lane_ entry to fire
   std::uint64_t lane_live_ = 0;          // non-cancelled lane entries
-  QueueKind kind_ = QueueKind::kHeap;
   std::uint32_t free_head_ = kNil;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t fired_ = 0;
   std::uint64_t past_clamps_ = 0;
   std::uint64_t cancels_ = 0;
-  std::uint64_t ladder_transfers_ = 0;
   std::uint64_t depth_hwm_ = 0;
   std::uint64_t tie_salt_ = 0;
   // Sequence number of the event whose action is currently running; 0

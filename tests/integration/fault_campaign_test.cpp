@@ -55,13 +55,12 @@ TEST(FaultCampaign, CellsExpandInDeterministicOrder) {
   for (const Cell& c : specs) EXPECT_TRUE(c.retransmit);
 
   SweepConfig cfg = smallCampaign();
-  cfg.queues = {sim::QueueKind::kHeap, sim::QueueKind::kLadder};
-  cfg.salts = {0, 1};
+  cfg.salts = {0, 1, 2, 3};
   const std::vector<Cell> grid = expand(cfg);
   ASSERT_EQ(grid.size(), 32u);
-  EXPECT_EQ(grid[0].queue, sim::QueueKind::kHeap);  // queue outermost
-  EXPECT_EQ(grid[1].salt, 1u);                       // salt innermost
-  EXPECT_EQ(grid[16].queue, sim::QueueKind::kLadder);
+  EXPECT_EQ(grid[0].loss, 0.0);  // loss outermost
+  EXPECT_EQ(grid[1].salt, 1u);   // salt innermost
+  EXPECT_EQ(grid[16].loss, 0.1);
 }
 
 // The gang-loss interaction in one cell: jobs time-share the nodes while the
@@ -103,11 +102,10 @@ TEST(FaultCampaign, FailStopCellStopsAtTheHorizonWithJobsIncomplete) {
 }
 
 TEST(FaultCampaign, CsvIsIdenticalAcrossWorkerCountsAndReruns) {
-  // Salts and both queue kinds ride along: cells run on worker threads
-  // whatever the axes, and the oracle must hold over the whole grid.
+  // Four salts ride along: cells run on worker threads whatever the axes,
+  // and the oracle must hold over the whole 32-cell grid.
   SweepConfig cfg = smallCampaign();
-  cfg.salts = {0, 1};
-  cfg.queues = {sim::QueueKind::kHeap, sim::QueueKind::kLadder};
+  cfg.salts = {0, 1, 2, 3};
   ASSERT_EQ(setenv("GANGCOMM_JOBS", "1", 1), 0);
   const std::vector<CellResult> serial_results = runSweep(cfg);
   const std::string serial = renderCsv(serial_results);
@@ -164,7 +162,6 @@ TEST(FaultCampaign, ValidateRejectsBadSweepInput) {
       {"one node", [](SweepConfig& c) { c.nodes = 1; }, false},
       {"no jobs", [](SweepConfig& c) { c.jobs = 0; }, false},
       {"no salts", [](SweepConfig& c) { c.salts.clear(); }, false},
-      {"no queues", [](SweepConfig& c) { c.queues.clear(); }, false},
       {"no loss rates", [](SweepConfig& c) { c.loss.clear(); }, false},
       {"no jitters", [](SweepConfig& c) { c.jitter_ns.clear(); }, false},
       {"no corrupt rates", [](SweepConfig& c) { c.corrupt.clear(); }, false},

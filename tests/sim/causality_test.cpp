@@ -217,24 +217,6 @@ TEST(SimCounters, QueueDepthHighWaterTracksPeakPending) {
   EXPECT_EQ(s.queueDepthHighWater(), 17u);
 }
 
-TEST(SimCounters, LadderHeapTransfersMoveOnLadderQueue) {
-  Simulator heap_sim;
-  heap_sim.setQueueKind(QueueKind::kHeap);
-  for (int i = 0; i < 100; ++i)
-    heap_sim.schedule(static_cast<Duration>(i) * 10000, [] {});
-  heap_sim.run();
-  EXPECT_EQ(heap_sim.ladderHeapTransfers(), 0u);
-
-  Simulator ladder_sim;
-  ladder_sim.setQueueKind(QueueKind::kLadder);
-  for (int i = 0; i < 100; ++i)
-    ladder_sim.schedule(static_cast<Duration>(i) * 10000, [] {});
-  const std::uint64_t fired = ladder_sim.run();
-  EXPECT_EQ(fired, 100u);
-  EXPECT_GT(ladder_sim.ladderHeapTransfers(), 0u);
-  EXPECT_LE(ladder_sim.ladderHeapTransfers(), 100u);
-}
-
 TEST(SimCounters, PastScheduleClampsCount) {
   Simulator s;
   s.schedule(10, [&] {

@@ -208,15 +208,18 @@ TEST(Simulator, FiredEventCountAccumulates) {
 // engine's semantics).  Interleaves schedule / past-clamped scheduleAt /
 // cancel (live, fired, and stale handles) / runSteps / runUntil / run and
 // asserts the firing order, clock, live count, and every cancel() verdict
-// match exactly.
-void randomizedStressMatchesReferenceModel(QueueKind kind) {
+// match exactly.  `horizon` bounds how far ahead events are scheduled and
+// runUntil() reaches: 2 makes nearly every event a same-instant tie, 2^40
+// spreads a deep backlog thinly.  `cancel_pct` is the share of operations
+// that cancel a handle.
+void randomizedStressMatchesReferenceModel(std::uint64_t seed,
+                                           SimTime horizon, int cancel_pct) {
   struct RefEvent {
     SimTime time;
     std::uint64_t seq;
   };
-  std::mt19937_64 rng(0xC0FFEE);
+  std::mt19937_64 rng(seed);
   Simulator s;
-  s.setQueueKind(kind);
   std::vector<RefEvent> ref;  // reference pending set
   SimTime ref_now = 0;
   std::uint64_t ref_seq = 1, ref_clamps = 0;
@@ -252,36 +255,31 @@ void randomizedStressMatchesReferenceModel(QueueKind kind) {
     ++ref_seq;
   };
 
-  for (int round = 0; round < 2000; ++round) {
-    switch (rng() % 8) {
-      case 0:
-      case 1:
-      case 2:  // schedule at a future instant (ties are common: % 50)
-        scheduleBoth(ref_now + rng() % 50);
+  for (int round = 0; round < 4000; ++round) {
+    // Cancels (case 20) take cancel_pct of the rounds.  The rest is cut in
+    // 20 slices, 14 of which schedule ahead, so the pending set grows deep
+    // between the runs that drain it.
+    const int op = static_cast<int>(rng() % 100);
+    const int slice =
+        op < cancel_pct ? 20 : (op - cancel_pct) * 20 / (100 - cancel_pct);
+    switch (slice) {
+      default:  // schedule at a future instant (ties are common)
+        scheduleBoth(ref_now + rng() % horizon);
         break;
-      case 3:  // schedule into the past: clamped and counted
+      case 14:
+      case 15:  // schedule into the past: clamped and counted
         scheduleBoth(ref_now > 10 ? ref_now - 1 - rng() % 9 : 0);
         break;
-      case 4: {  // cancel a random handle: may be live, fired, or cancelled
-        if (handles.empty()) break;
-        const auto& [h, seq] = handles[rng() % handles.size()];
-        const auto it = std::find_if(
-            ref.begin(), ref.end(),
-            [seq = seq](const RefEvent& e) { return e.seq == seq; });
-        const bool ref_live = it != ref.end();
-        if (ref_live) ref.erase(it);
-        EXPECT_EQ(s.cancel(h), ref_live);
-        break;
-      }
-      case 5: {  // fire a few events
+      case 16:
+      case 17: {  // fire a few events
         const std::uint64_t want = rng() % 4;
         const std::uint64_t n = s.runSteps(want);
         EXPECT_EQ(n, std::min<std::uint64_t>(want, ref.size()));
         for (std::uint64_t i = 0; i < n; ++i) refFireNext();
         break;
       }
-      case 6: {  // run up to a horizon
-        const SimTime t = ref_now + rng() % 40;
+      case 18: {  // run up to a horizon
+        const SimTime t = ref_now + rng() % horizon;
         const std::uint64_t n = s.runUntil(t);
         std::uint64_t ref_n = 0;
         while (!ref.empty()) {
@@ -298,12 +296,23 @@ void randomizedStressMatchesReferenceModel(QueueKind kind) {
         EXPECT_EQ(n, ref_n);
         break;
       }
-      default:  // occasionally drain completely
+      case 19:  // occasionally drain completely
         if (rng() % 10 == 0) {
           s.run();
           while (!ref.empty()) refFireNext();
         }
         break;
+      case 20: {  // cancel a random handle: may be live, fired, or cancelled
+        if (handles.empty()) break;
+        const auto& [h, seq] = handles[rng() % handles.size()];
+        const auto it = std::find_if(
+            ref.begin(), ref.end(),
+            [seq = seq](const RefEvent& e) { return e.seq == seq; });
+        const bool ref_live = it != ref.end();
+        if (ref_live) ref.erase(it);
+        EXPECT_EQ(s.cancel(h), ref_live);
+        break;
+      }
     }
     ASSERT_EQ(s.now(), ref_now);
     ASSERT_EQ(s.pendingEvents(), ref.size());
@@ -317,11 +326,23 @@ void randomizedStressMatchesReferenceModel(QueueKind kind) {
 }
 
 TEST(Simulator, RandomizedStressMatchesReferenceModel) {
-  randomizedStressMatchesReferenceModel(QueueKind::kHeap);
-}
-
-TEST(Simulator, RandomizedStressMatchesReferenceModelLadder) {
-  randomizedStressMatchesReferenceModel(QueueKind::kLadder);
+  struct Shape {
+    std::uint64_t seed;
+    SimTime horizon;
+    int cancel_pct;
+  };
+  for (const Shape& c : {Shape{0xC0FFEE, 50, 12}, Shape{1, 5000, 20},
+                         Shape{2, 5000, 20}, Shape{0xBADC0DE, 5000, 20},
+                         Shape{7, 2000, 60}, Shape{0xFEED, 2000, 60},
+                         Shape{11, 2, 25}, Shape{3, 300, 20},
+                         Shape{5, SimTime{1} << 40, 15}}) {
+    SCOPED_TRACE(testing::Message() << "seed " << c.seed << " horizon "
+                                    << c.horizon << " cancel% "
+                                    << c.cancel_pct);
+    ASSERT_NO_FATAL_FAILURE(
+        randomizedStressMatchesReferenceModel(c.seed, c.horizon,
+                                              c.cancel_pct));
+  }
 }
 
 // Slab recycling: cancelling and firing must return nodes to the free list,
@@ -391,30 +412,27 @@ TEST(Simulator, RunningActionSurvivesSlabGrowth) {
 }
 
 // A running event is already fired: cancelling its own handle from inside
-// its action is a no-op, on the heap path, the ladder, and the same-instant
-// lane, and at any tie salt.
+// its action is a no-op, on the heap path and the same-instant lane, and at
+// any tie salt.
 TEST(Simulator, CancellingOwnHandleWhileFiringReturnsFalse) {
-  for (const QueueKind kind : {QueueKind::kHeap, QueueKind::kLadder}) {
-    for (const std::uint64_t salt : {0ull, 0x5eedull}) {
-      for (const Duration delay : {Duration{0}, Duration{5}}) {
-        Simulator s;
-        s.setQueueKind(kind);
-        s.setTieSalt(salt);
-        EventHandle self;
-        int verdicts = 0;
-        bool cancelled = true;
-        self = s.schedule(delay, [&] {
-          cancelled = s.cancel(self);
-          ++verdicts;
-        });
-        s.schedule(delay, [] {});  // a same-instant sibling stays pending
-        s.run();
-        EXPECT_EQ(verdicts, 1);
-        EXPECT_FALSE(cancelled);
-        EXPECT_EQ(s.cancelledEvents(), 0u);
-        EXPECT_EQ(s.firedEvents(), 2u);
-        EXPECT_FALSE(s.cancel(self));  // and stays dead afterwards
-      }
+  for (const std::uint64_t salt : {0ull, 0x5eedull}) {
+    for (const Duration delay : {Duration{0}, Duration{5}}) {
+      Simulator s;
+      s.setTieSalt(salt);
+      EventHandle self;
+      int verdicts = 0;
+      bool cancelled = true;
+      self = s.schedule(delay, [&] {
+        cancelled = s.cancel(self);
+        ++verdicts;
+      });
+      s.schedule(delay, [] {});  // a same-instant sibling stays pending
+      s.run();
+      EXPECT_EQ(verdicts, 1);
+      EXPECT_FALSE(cancelled);
+      EXPECT_EQ(s.cancelledEvents(), 0u);
+      EXPECT_EQ(s.firedEvents(), 2u);
+      EXPECT_FALSE(s.cancel(self));  // and stays dead afterwards
     }
   }
 }
@@ -425,13 +443,11 @@ TEST(Simulator, CancellingOwnHandleWhileFiringReturnsFalse) {
 // otherwise.  Callbacks schedule zero-delay and same-instant children,
 // past-clamped ones and near-future ones, and cancel recent siblings in the
 // middle of an instant, so the same-instant lane, its lazy cancel and its
-// interleaving with heap/ladder events due at the same instant all get
-// exercised.
+// interleaving with heap events due at the same instant all get exercised.
 class CallbackStress {
  public:
-  CallbackStress(QueueKind kind, std::uint64_t salt)
+  explicit CallbackStress(std::uint64_t salt)
       : salt_(salt), rng_(0xC0FFEE ^ salt) {
-    s_.setQueueKind(kind);
     s_.setTieSalt(salt);
   }
 
@@ -561,14 +577,7 @@ class CallbackStress {
 TEST(Simulator, CallbackStressMatchesReferenceModel) {
   for (const std::uint64_t salt : {0ull, 0xA5A5F00Dull}) {
     SCOPED_TRACE(salt);
-    CallbackStress(QueueKind::kHeap, salt).run();
-  }
-}
-
-TEST(Simulator, CallbackStressMatchesReferenceModelLadder) {
-  for (const std::uint64_t salt : {0ull, 0xA5A5F00Dull}) {
-    SCOPED_TRACE(salt);
-    CallbackStress(QueueKind::kLadder, salt).run();
+    CallbackStress(salt).run();
   }
 }
 
@@ -628,115 +637,10 @@ TEST(SimulatorDeathTest, TieSaltRejectsPopulatedQueue) {
   EXPECT_DEATH(s.setTieSalt(1), "tie salt must be set");
 }
 
-// ---- Ladder queue vs. heap equivalence (setQueueKind) -----------------------
-//
-// The ladder queue must fire *exactly* the order the reference 4-ary heap
-// fires, at every tie salt, for any workload — the buckets only partition
-// integer timestamps, so the heap comparator still decides every
-// same-timestamp tie.  These tests replay one deterministic workload on both
-// structures and require the full observable log to match bit for bit.
-
-namespace {
-
-/// Everything a workload can observe: fire order, every cancel() verdict,
-/// and the final clock.
-struct WorkloadLog {
-  std::vector<std::uint64_t> fired;
-  std::vector<bool> cancels;
-  SimTime end = 0;
-
-  bool operator==(const WorkloadLog& o) const {
-    return fired == o.fired && cancels == o.cancels && end == o.end;
-  }
-};
-
-/// Replays a deterministic schedule/cancel/fire mix on the given queue
-/// structure.  `cancel_pct` steers how cancel-heavy the mix is; `time_span`
-/// bounds the scheduling horizon (a small span makes same-timestamp ties
-/// the common case, a huge span exercises rung rebuilds and the top band).
-WorkloadLog replayWorkload(QueueKind kind, std::uint64_t salt,
-                           std::uint64_t seed, int cancel_pct,
-                           std::uint64_t time_span) {
-  std::mt19937_64 rng(seed);
+TEST(Simulator, FiresDeepBacklogInTimeSeqOrder) {
+  // A deep backlog scheduled up front, drained in one pass.  Order must be
+  // (time, seq) exactly.
   Simulator s;
-  s.setQueueKind(kind);
-  s.setTieSalt(salt);
-  WorkloadLog log;
-  std::vector<EventHandle> handles;  // live, fired, and cancelled alike
-  for (int round = 0; round < 4000; ++round) {
-    const int op = static_cast<int>(rng() % 100);
-    if (op < cancel_pct) {
-      if (!handles.empty())
-        log.cancels.push_back(s.cancel(
-            handles[static_cast<std::size_t>(rng() % handles.size())]));
-    } else if (op < 88) {
-      const SimTime t =
-          s.now() + (time_span > 0 ? rng() % (time_span + 1) : 0);
-      const std::uint64_t label = static_cast<std::uint64_t>(handles.size());
-      handles.push_back(
-          s.scheduleAt(t, [&log, label] { log.fired.push_back(label); }));
-    } else if (op < 96) {
-      s.runSteps(rng() % 8);
-    } else {
-      s.runUntil(s.now() + rng() % (time_span + 1));
-    }
-  }
-  s.run();
-  log.end = s.now();
-  EXPECT_TRUE(s.empty());
-  return log;
-}
-
-}  // namespace
-
-TEST(Simulator, LadderMatchesHeapOnRandomWorkloads) {
-  for (std::uint64_t seed : {1ull, 2ull, 0xBADC0DEull}) {
-    EXPECT_EQ(replayWorkload(QueueKind::kHeap, 0, seed, 20, 5000),
-              replayWorkload(QueueKind::kLadder, 0, seed, 20, 5000))
-        << "seed " << seed;
-  }
-}
-
-TEST(Simulator, LadderMatchesHeapUnderCancelHeavyLoad) {
-  for (std::uint64_t seed : {7ull, 0xFEEDull}) {
-    EXPECT_EQ(replayWorkload(QueueKind::kHeap, 0, seed, 60, 2000),
-              replayWorkload(QueueKind::kLadder, 0, seed, 60, 2000))
-        << "seed " << seed;
-  }
-}
-
-TEST(Simulator, LadderMatchesHeapOnSameTimestampBursts) {
-  // time_span 2 makes nearly every event a same-instant tie: the tiebreak
-  // path (salted or FIFO) must come out of the ladder untouched.
-  for (std::uint64_t salt : {0ull, 1ull, 0xDEADBEEFull}) {
-    EXPECT_EQ(replayWorkload(QueueKind::kHeap, salt, 11, 25, 2),
-              replayWorkload(QueueKind::kLadder, salt, 11, 25, 2))
-        << "salt " << salt;
-  }
-}
-
-TEST(Simulator, LadderMatchesHeapAcrossTieSalts) {
-  for (std::uint64_t salt : {0ull, 1ull, 2ull, 42ull, 0x5a5a5a5aull}) {
-    EXPECT_EQ(replayWorkload(QueueKind::kHeap, salt, 3, 20, 300),
-              replayWorkload(QueueKind::kLadder, salt, 3, 20, 300))
-        << "salt " << salt;
-  }
-}
-
-TEST(Simulator, LadderMatchesHeapOnWideTimeSpans) {
-  // A huge horizon forces events through the unsorted top band and repeated
-  // rung rebuilds (and near-kNever guards) rather than the current rung.
-  EXPECT_EQ(replayWorkload(QueueKind::kHeap, 0, 5, 15,
-                           std::uint64_t{1} << 40),
-            replayWorkload(QueueKind::kLadder, 0, 5, 15,
-                           std::uint64_t{1} << 40));
-}
-
-TEST(Simulator, LadderFiresBurstyBacklogInOrder) {
-  // The ladder's home turf: a deep backlog scheduled up front, drained in
-  // one pass.  Order must be (time, seq) exactly.
-  Simulator s;
-  s.setQueueKind(QueueKind::kLadder);
   std::mt19937_64 rng(99);
   std::vector<std::pair<SimTime, int>> expect;
   std::vector<int> fired;
@@ -753,26 +657,6 @@ TEST(Simulator, LadderFiresBurstyBacklogInOrder) {
   ASSERT_EQ(fired.size(), expect.size());
   for (std::size_t i = 0; i < expect.size(); ++i)
     EXPECT_EQ(fired[i], expect[i].second) << "position " << i;
-}
-
-TEST(Simulator, QueueKindDefaultsToHeapAndIsSwitchable) {
-  Simulator s;
-  EXPECT_EQ(s.queueKind(), QueueKind::kHeap);
-  s.setQueueKind(QueueKind::kLadder);
-  EXPECT_EQ(s.queueKind(), QueueKind::kLadder);
-  int fired = 0;
-  s.schedule(1, [&] { ++fired; });
-  s.run();
-  EXPECT_EQ(fired, 1);
-  // Empty again: switching back is legal.
-  s.setQueueKind(QueueKind::kHeap);
-  EXPECT_EQ(s.queueKind(), QueueKind::kHeap);
-}
-
-TEST(SimulatorDeathTest, QueueKindRejectsPopulatedQueue) {
-  Simulator s;
-  s.schedule(5, [] {});
-  EXPECT_DEATH(s.setQueueKind(QueueKind::kLadder), "queue");
 }
 
 TEST(SimTime, CycleConversionsMatch200MHz) {

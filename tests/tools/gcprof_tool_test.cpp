@@ -1,6 +1,5 @@
 // Analyzer tests for tools/gcprof: dump parsing, DAG metrics (critical
-// path, ideal speedup, per-LP counts, wall-cost weighting), and output
-// determinism.
+// path, ideal speedup, per-LP counts), and output determinism.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -42,7 +41,6 @@ std::string syntheticDump() {
 
 TEST(GcprofDump, ParsesRecordsAndTrailer) {
   const Dump d = parseDump(syntheticDump());
-  EXPECT_FALSE(d.wall);
   ASSERT_EQ(d.records.size(), 6u);
   EXPECT_EQ(d.total, 6u);
   EXPECT_EQ(d.cancelled, 0u);
@@ -60,6 +58,12 @@ TEST(GcprofDump, RejectsTruncationAndForeignFiles) {
   text.replace(pos, 9, "\"total\":9");
   EXPECT_THROW(parseDump(text), std::runtime_error);
   EXPECT_THROW(parseDump("{\"foo\":1}"), std::runtime_error);
+  // Only sim-mode dumps are read; any other mode is refused, not guessed.
+  std::string wall = syntheticDump();
+  const auto mode = wall.find("\"mode\":\"sim\"");
+  ASSERT_NE(mode, std::string::npos);
+  wall.replace(mode, 12, "\"mode\":\"wall\"");
+  EXPECT_THROW(parseDump(wall), std::runtime_error);
 }
 
 TEST(GcprofAnalyze, ComputesCriticalPathAndSpeedups) {
@@ -79,26 +83,6 @@ TEST(GcprofAnalyze, ComputesCriticalPathAndSpeedups) {
   ASSERT_EQ(a.lps.size(), 5u);  // node.0, node.1, nic.0, nic.1, link
   EXPECT_EQ(a.lps[0].name, "node.0");
   EXPECT_EQ(a.lps[1].events, 2u);  // node.1: the second root and event 5
-}
-
-TEST(GcprofAnalyze, WallModeWeighsWorkByHandlerCost) {
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "{\"gcprof\":\"gcprof-v1\",\"mode\":\"wall\",\n"
-                "\"records\":[\n"
-                "[1,0,0,10,%u,5],\n"
-                "[2,1,10,20,%u,7],\n"
-                "[3,0,0,15,%u,100]\n"
-                "],\"lps\":[],\"total\":3,\"cancelled\":0,\"pending\":0}\n",
-                tag(sim::LpDomain::kNode, 0), tag(sim::LpDomain::kNode, 0),
-                tag(sim::LpDomain::kNode, 1));
-  const Dump d = parseDump(buf);
-  EXPECT_TRUE(d.wall);
-  EXPECT_EQ(d.records[2].wall_ns, 100);
-  const Analysis a = analyze(d);
-  EXPECT_EQ(a.wall_total_ns, 112);
-  EXPECT_EQ(a.wall_critical_ns, 100);  // the heavy root beats the 5+7 chain
-  EXPECT_DOUBLE_EQ(a.wall_ideal_speedup, 112.0 / 100.0);
 }
 
 TEST(GcprofOutputs, JsonAndReportAreDeterministic) {

@@ -86,7 +86,6 @@ TEST(Explore, ComparatorFlagsDivergentOutcomes) {
   a.processes.push_back({0, 0, 10, 10, 40960, 40960});
   CellResult b = a;
   b.cell.salt = 1;
-  b.cell.queue = sim::QueueKind::kHeap;
   EXPECT_TRUE(checkOracle({a, b}).empty());
 
   // Fault-free cells must agree on wire totals ...
@@ -108,7 +107,7 @@ TEST(Explore, ComparatorFlagsDivergentOutcomes) {
   stopped_b.jobs_done = 1;
   EXPECT_TRUE(checkOracle({stopped_a, stopped_b}).empty());
 
-  // App outcomes must agree across salt, queue and seed, lossy or not.
+  // App outcomes must agree across salt and seed, lossy or not.
   lossy_b.processes.push_back({});
   EXPECT_EQ(checkOracle({lossy_a, lossy_b}).size(), 1u);
   other_seed.jobs_done = 1;

@@ -66,9 +66,10 @@ Dump parseDump(const std::string& text) {
   const JsonValue* version = root.find("gcprof");
   if (version == nullptr || version->str != "gcprof-v1")
     throw std::runtime_error("not a gcprof-v1 dump");
-  Dump d;
   const JsonValue* mode = root.find("mode");
-  d.wall = mode != nullptr && mode->str == "wall";
+  if (mode == nullptr || mode->str != "sim")
+    throw std::runtime_error("not a sim-mode gcprof dump");
+  Dump d;
   const JsonValue* records = root.find("records");
   if (records == nullptr || records->kind != JsonValue::Kind::kArray)
     throw std::runtime_error("gcprof dump has no records array");
@@ -82,7 +83,6 @@ Dump parseDump(const std::string& text) {
     r.sched = row.items[2].asI64();
     r.fire = row.items[3].asI64();
     r.lp = static_cast<std::uint32_t>(row.items[4].asI64());
-    if (d.wall && row.items.size() > 5) r.wall_ns = row.items[5].asI64();
     d.records.push_back(r);
   }
   const JsonValue* total = root.find("total");
@@ -110,7 +110,6 @@ Dump loadDump(const std::string& path) {
 
 Analysis analyze(const Dump& dump) {
   Analysis a;
-  a.wall = dump.wall;
   a.cancelled = dump.cancelled;
   a.pending = dump.pending;
   const std::size_t n = dump.records.size();
@@ -120,7 +119,6 @@ Analysis analyze(const Dump& dump) {
   std::unordered_map<std::uint64_t, std::size_t> index;
   index.reserve(n * 2);
   std::vector<std::uint64_t> depth(n);
-  std::vector<std::int64_t> wdepth(a.wall ? n : 0);
   std::map<std::uint32_t, std::uint64_t> lp_counts;
 
   a.first_fire = dump.records.front().fire;
@@ -143,11 +141,6 @@ Analysis analyze(const Dump& dump) {
       a.critical_len = depth[i];
       critical_at = i;
     }
-    if (a.wall) {
-      a.wall_total_ns += r.wall_ns;
-      wdepth[i] = (has_parent ? wdepth[pi] : 0) + r.wall_ns;
-      a.wall_critical_ns = std::max(a.wall_critical_ns, wdepth[i]);
-    }
 
     if (has_parent)
       ++a.edges;
@@ -159,9 +152,6 @@ Analysis analyze(const Dump& dump) {
   a.ideal_speedup = static_cast<double>(n) /
                     static_cast<double>(std::max<std::uint64_t>(
                         a.critical_len, 1));
-  if (a.wall && a.wall_critical_ns > 0)
-    a.wall_ideal_speedup = static_cast<double>(a.wall_total_ns) /
-                           static_cast<double>(a.wall_critical_ns);
 
   for (const auto& [tag, count] : lp_counts)
     a.lps.push_back({tag, obs::CausalityRecorder::lpName(tag), count});
@@ -185,12 +175,11 @@ std::string renderReport(const Analysis& a) {
   std::string out;
   char buf[256];
   std::snprintf(buf, sizeof(buf),
-                "gcprof: %llu events, %llu edges, %llu roots from a %s-mode "
+                "gcprof: %llu events, %llu edges, %llu roots from a sim-mode "
                 "dump\n",
                 static_cast<unsigned long long>(a.events),
                 static_cast<unsigned long long>(a.edges),
-                static_cast<unsigned long long>(a.roots),
-                a.wall ? "wall" : "sim");
+                static_cast<unsigned long long>(a.roots));
   out += buf;
   std::snprintf(buf, sizeof(buf),
                 "cancelled before firing (not DAG nodes): %llu; still "
@@ -210,15 +199,6 @@ std::string renderReport(const Analysis& a) {
   fc.addRow({"critical path [events]", util::formatU64(a.critical_len)});
   fc.addRow({"ideal speedup (infinite LPs)",
              util::formatDouble(a.ideal_speedup, 3)});
-  if (a.wall) {
-    fc.addRow({"wall work [ns]", util::formatU64(static_cast<std::uint64_t>(
-                                     a.wall_total_ns))});
-    fc.addRow({"wall critical path [ns]",
-               util::formatU64(static_cast<std::uint64_t>(
-                   a.wall_critical_ns))});
-    fc.addRow({"wall ideal speedup",
-               util::formatDouble(a.wall_ideal_speedup, 3)});
-  }
   out += fc.render();
 
   // Per-domain load.
@@ -273,11 +253,11 @@ std::string analysisJson(const Analysis& a) {
   char buf[512];
   std::snprintf(
       buf, sizeof(buf),
-      "\"mode\":\"%s\",\"events\":%llu,\"edges\":%llu,\"roots\":%llu,"
+      "\"mode\":\"sim\",\"events\":%llu,\"edges\":%llu,\"roots\":%llu,"
       "\"cancelled\":%llu,\"pending\":%llu,\"span_ns\":%lld,\n"
       "\"critical_path_events\":%llu,\"ideal_speedup\":%.3f,\n"
       "\"lps\":%llu,",
-      a.wall ? "wall" : "sim", static_cast<unsigned long long>(a.events),
+      static_cast<unsigned long long>(a.events),
       static_cast<unsigned long long>(a.edges),
       static_cast<unsigned long long>(a.roots),
       static_cast<unsigned long long>(a.cancelled),
@@ -286,15 +266,6 @@ std::string analysisJson(const Analysis& a) {
       static_cast<unsigned long long>(a.critical_len), a.ideal_speedup,
       static_cast<unsigned long long>(a.lps.size()));
   out += buf;
-  if (a.wall) {
-    std::snprintf(buf, sizeof(buf),
-                  "\"wall_total_ns\":%lld,\"wall_critical_ns\":%lld,"
-                  "\"wall_ideal_speedup\":%.3f,",
-                  static_cast<long long>(a.wall_total_ns),
-                  static_cast<long long>(a.wall_critical_ns),
-                  a.wall_ideal_speedup);
-    out += buf;
-  }
   out += "\n\"lp_table\":[";
   bool first = true;
   for (const LpRow& r : a.lps) {

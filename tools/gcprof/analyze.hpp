@@ -1,9 +1,8 @@
 // gcprof analyzer: rebuild the event-causality DAG from a CausalityRecorder
 // dump (the gcprof-v1 format src/obs/gcprof.cpp writes) and report its
 // shape: total work, the critical path and the ideal speedup it bounds,
-// per-LP event counts, and, for wall-cost dumps, the same DAG weighted by
-// measured handler nanoseconds.  See DESIGN.md §14 for the exact
-// definitions and the determinism contract.
+// and per-LP event counts.  See DESIGN.md §14 for the exact definitions and
+// the determinism contract.
 #pragma once
 
 #include <cstddef>
@@ -13,7 +12,7 @@
 
 namespace gangcomm::gcprof_tool {
 
-/// One emitted causality record: [id, parent, sched, fire, lp(, wall_ns)].
+/// One emitted causality record: [id, parent, sched, fire, lp].
 struct DumpRecord {
   std::uint64_t id = 0;
   /// Scheduling event's id; 0 = root (scheduled outside any firing event).
@@ -21,18 +20,18 @@ struct DumpRecord {
   std::int64_t sched = 0;    ///< sim time the scheduleAt call ran
   std::int64_t fire = 0;     ///< sim time the event fired
   std::uint32_t lp = 0;      ///< sim::lpTag active at the schedule site
-  std::int64_t wall_ns = 0;  ///< wall-cost mode only; 0 in sim mode
 };
 
 struct Dump {
-  bool wall = false;               ///< "mode":"wall" (nondeterministic)
   std::vector<DumpRecord> records; ///< in fire order (= the DAG topo order)
   std::uint64_t total = 0;
   std::uint64_t cancelled = 0;
   std::uint64_t pending = 0;       ///< scheduled but never fired (drain rest)
 };
 
-Dump parseDump(const std::string& text);  // throws std::runtime_error
+/// Throws std::runtime_error on a malformed or truncated dump, or on one
+/// whose "mode" is not "sim".
+Dump parseDump(const std::string& text);
 Dump loadDump(const std::string& path);   // prints + exit(2) on error
 
 struct LpRow {
@@ -42,7 +41,6 @@ struct LpRow {
 };
 
 struct Analysis {
-  bool wall = false;
   std::uint64_t events = 0;
   std::uint64_t edges = 0;        ///< records with a recorded parent
   std::uint64_t roots = 0;
@@ -58,11 +56,6 @@ struct Analysis {
 
   std::vector<LpRow> lps;                   ///< per LP tag, tag order
   std::vector<std::uint64_t> critical_ids;  ///< critical path, root -> leaf
-
-  // Wall-cost mode only: work weighted by measured handler nanoseconds.
-  std::int64_t wall_total_ns = 0;
-  std::int64_t wall_critical_ns = 0;
-  double wall_ideal_speedup = 0.0;
 };
 
 Analysis analyze(const Dump& dump);
@@ -73,9 +66,8 @@ std::string renderReport(const Analysis& a);
 /// Per-LP CSV: tag,name,domain,events,share_pct.
 bool writeCsv(const Analysis& a, const std::string& path);
 
-/// Full machine-readable analysis (fixed-precision numbers).  For a
-/// sim-mode dump it is byte-identical across reruns and job counts of the
-/// same simulated run.
+/// Full machine-readable analysis (fixed-precision numbers), byte-identical
+/// across reruns and job counts of the same simulated run.
 std::string analysisJson(const Analysis& a);
 
 /// Chrome trace-event export: one slice per event on its LP's track, with

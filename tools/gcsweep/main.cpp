@@ -2,8 +2,8 @@
 //
 // Usage:
 //   gcsweep [--nodes N] [--jobs J] [--rounds R] [--msg-bytes B]
-//           [--quantum-ms Q] [--salts K] [--queue heap,ladder]
-//           [--loss r1,r2,...] [--jitter-ns j1,j2,...] [--corrupt c1,c2,...]
+//           [--quantum-ms Q] [--salts K] [--loss r1,r2,...]
+//           [--jitter-ns j1,j2,...] [--corrupt c1,c2,...]
 //           [--fail-stop none,link,nic,node] [--seeds s1,s2,...] [--out FILE]
 //
 // Runs the cross product of the axis lists (tie salts 0..K-1) with the
@@ -100,17 +100,6 @@ int main(int argc, char** argv) {
       cfg.salts.clear();
       for (std::uint64_t s = 0, k = parseU64(arg, value); s < k; ++s)
         cfg.salts.push_back(s);
-    } else if (std::strcmp(arg, "--queue") == 0) {
-      cfg.queues.clear();
-      for (const std::string& q : splitList(value)) {
-        if (q == "heap") {
-          cfg.queues.push_back(gangcomm::sim::QueueKind::kHeap);
-        } else if (q == "ladder") {
-          cfg.queues.push_back(gangcomm::sim::QueueKind::kLadder);
-        } else {
-          usageError("bad value for --queue: " + q);
-        }
-      }
     } else if (std::strcmp(arg, "--loss") == 0) {
       cfg.loss = parseDoubles(arg, value);
     } else if (std::strcmp(arg, "--jitter-ns") == 0) {

@@ -45,15 +45,10 @@ net::FailStopEvent failStopFor(const Cell& c) {
   return ev;
 }
 
-const char* queueName(sim::QueueKind q) {
-  return q == sim::QueueKind::kHeap ? "heap" : "ladder";
-}
-
 std::string fmt3(double v) { return util::formatDouble(v, 3); }
 
 std::string cellName(const Cell& c) {
-  return std::string("queue=") + queueName(c.queue) +
-         " salt=" + std::to_string(c.salt) + " seed=" + std::to_string(c.seed) +
+  return "salt=" + std::to_string(c.salt) + " seed=" + std::to_string(c.seed) +
          " loss=" + fmt3(c.loss) + " jitter=" + std::to_string(c.jitter_ns) +
          " corrupt=" + fmt3(c.corrupt) + " fail_stop=" + c.fail_stop;
 }
@@ -100,10 +95,9 @@ std::string wireDiff(const CellResult& r, const CellResult& base) {
 }
 
 /// An oracle group: the cell with the fields a rule lets vary reset (salt
-/// and queue always, the seed too for app outcomes).
+/// always, the seed too for app outcomes).
 Cell groupKey(Cell c, bool keep_seed) {
   c.salt = 0;
-  c.queue = sim::QueueKind::kLadder;
   if (!keep_seed) c.seed = 0;
   return c;
 }
@@ -117,9 +111,8 @@ util::Status validate(const SweepConfig& cfg, std::string* why) {
   };
   if (cfg.nodes < 2) return reject("need at least 2 nodes");
   if (cfg.jobs < 1) return reject("need at least 1 job");
-  if (cfg.salts.empty() || cfg.queues.empty() || cfg.loss.empty() ||
-      cfg.jitter_ns.empty() || cfg.corrupt.empty() || cfg.fail_stops.empty() ||
-      cfg.seeds.empty())
+  if (cfg.salts.empty() || cfg.loss.empty() || cfg.jitter_ns.empty() ||
+      cfg.corrupt.empty() || cfg.fail_stops.empty() || cfg.seeds.empty())
     return reject("every axis needs at least one value");
   // Negated so that NaN is rejected too.
   for (const double p : cfg.loss)
@@ -153,22 +146,20 @@ std::vector<Cell> expand(const SweepConfig& cfg) {
                   [](const std::string& fs) { return fs != "none"; });
 
   std::vector<Cell> out;
-  for (const sim::QueueKind queue : cfg.queues)
-    for (const double loss : cfg.loss)
-      for (const std::uint64_t jitter : cfg.jitter_ns)
-        for (const double corrupt : cfg.corrupt)
-          for (const std::string& fs : cfg.fail_stops)
-            for (const std::uint64_t seed : cfg.seeds)
-              for (const std::uint64_t salt : cfg.salts) {
-                c.queue = queue;
-                c.loss = loss;
-                c.jitter_ns = jitter;
-                c.corrupt = corrupt;
-                c.fail_stop = fs;
-                c.seed = seed;
-                c.salt = salt;
-                out.push_back(c);
-              }
+  for (const double loss : cfg.loss)
+    for (const std::uint64_t jitter : cfg.jitter_ns)
+      for (const double corrupt : cfg.corrupt)
+        for (const std::string& fs : cfg.fail_stops)
+          for (const std::uint64_t seed : cfg.seeds)
+            for (const std::uint64_t salt : cfg.salts) {
+              c.loss = loss;
+              c.jitter_ns = jitter;
+              c.corrupt = corrupt;
+              c.fail_stop = fs;
+              c.seed = seed;
+              c.salt = salt;
+              out.push_back(c);
+            }
   return out;
 }
 
@@ -179,7 +170,6 @@ CellResult runCell(const Cell& c) {
   cc.verify = true;  // invariant violations abort the sweep loudly
   cc.packet_trace = true;
   cc.tie_salt = c.salt;
-  cc.event_queue = c.queue;
   cc.seed = c.seed;
   cc.fault_seed = c.seed;
   cc.fm.enable_retransmit = c.retransmit;
@@ -295,7 +285,7 @@ std::string renderCsv(const std::vector<CellResult>& results) {
       "lost_credits,traced_packets";
   for (const obs::PacketStage s : obs::packetStages())
     csv += std::string(",") + obs::packetStageName(s) + "_us";
-  csv += ",end_to_end_us,queue,salt,data_bytes,msgs_recv,payload_recv\n";
+  csv += ",end_to_end_us,salt,data_bytes,msgs_recv,payload_recv\n";
 
   for (const CellResult& r : results) {
     const Cell& c = r.cell;
@@ -311,9 +301,9 @@ std::string renderCsv(const std::vector<CellResult>& results) {
            std::to_string(r.traced_packets);
     for (const double us : r.stage_us) csv += ',' + fmt3(us);
     const auto [msgs, bytes] = received(r);
-    csv += ',' + fmt3(r.end_to_end_us) + ',' + queueName(c.queue) + ',' +
-           std::to_string(c.salt) + ',' + std::to_string(r.data_bytes) + ',' +
-           std::to_string(msgs) + ',' + std::to_string(bytes) + '\n';
+    csv += ',' + fmt3(r.end_to_end_us) + ',' + std::to_string(c.salt) + ',' +
+           std::to_string(r.data_bytes) + ',' + std::to_string(msgs) + ',' +
+           std::to_string(bytes) + '\n';
   }
   return csv;
 }

@@ -6,9 +6,9 @@
 // self-contained Cluster with the gcverify invariant engine in abort mode and
 // gctrace attributing per-stage latency.  A sweep is the cross product
 //
-//   queue kind x loss x jitter x corruption x fail-stop x seed x tie salt
+//   loss x jitter x corruption x fail-stop x seed x tie salt
 //
-// expanded in that order (queue outermost, salt innermost).  Cells share no
+// expanded in that order (loss outermost, salt innermost).  Cells share no
 // mutable state and run on bench::parallelMap, so the CSV and the summaries
 // are byte-identical at any GANGCOMM_JOBS and across reruns.
 //
@@ -18,11 +18,11 @@
 //     fault (loss, corruption, jitter or a fail-stop), off otherwise.
 //
 // The oracle (checkOracle) compares what must not depend on serialization:
-//   * draining cells that differ only in tie salt, queue kind or seed report
-//     the same app-visible outcome (jobs done, per-process message and
-//     payload totals);
-//   * fault-free cells that differ only in salt or queue kind also report
-//     the same fabric data packets and data bytes;
+//   * draining cells that differ only in tie salt or seed report the same
+//     app-visible outcome (jobs done, per-process message and payload
+//     totals);
+//   * fault-free cells that differ only in salt also report the same fabric
+//     data packets and data bytes;
 //   * fail-stop cells are exempt: they stop at a horizon instead of
 //     draining (a dead node never acks, so its senders retransmit forever).
 #pragma once
@@ -31,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/simulator.hpp"
 #include "sim/time.hpp"
 #include "util/status.hpp"
 
@@ -45,7 +44,6 @@ struct Cell {
   std::uint64_t rounds = 20;      // all-to-all rounds per process
   std::uint64_t quantum_ms = 20;  // short quantum => many gang switches
   std::uint64_t salt = 0;
-  sim::QueueKind queue = sim::QueueKind::kLadder;
   double loss = 0.0;
   sim::Duration jitter_ns = 0;
   double corrupt = 0.0;
@@ -68,7 +66,6 @@ struct SweepConfig {
   std::uint64_t rounds = 20;
   std::uint64_t quantum_ms = 20;
   std::vector<std::uint64_t> salts = {0, 1, 2, 3, 4, 5, 6, 7};
-  std::vector<sim::QueueKind> queues = {sim::QueueKind::kLadder};
   std::vector<double> loss = {0.0};
   std::vector<std::uint64_t> jitter_ns = {0};
   std::vector<double> corrupt = {0.0};
